@@ -66,14 +66,8 @@ def _cmd_calibrate(args) -> int:
     if cfg.privacy is None or cfg.privacy.target_epsilon is None:
         raise training.ConfigError("calibrate requires privacy.target_epsilon")
     q = cfg.batch.sampling_prob if cfg.batch.sampling_prob is not None else 1.0
-    if cfg.mechanism == "banded-mf":
-        sigma = accounting.calibrate_mf_noise(cfg.privacy.target_epsilon, cfg.privacy.delta)
-    else:
-        sigma = accounting.calibrate_noise(
-            cfg.privacy.target_epsilon, cfg.privacy.delta, q, cfg.steps
-        )
     result = {
-        "noise_multiplier": sigma,
+        "noise_multiplier": training.resolve_sigma(cfg),
         "target_epsilon": cfg.privacy.target_epsilon,
         "delta": cfg.privacy.delta,
         "sampling_prob": q,

@@ -7,24 +7,20 @@ on a workload A is ||A C^{-1}||_F^2 times the squared sensitivity of C (its
 maximum column norm). Banded strategies stream with O(b) memory in the
 privatizer.
 
-The optimizer is plain gradient descent on c_1..c_{b-1} with central
-finite-difference gradients. At the sizes this package targets (n <= 256,
-b <= 16) the O(b n^2) cost per step is negligible and finite differences
-remove a whole class of derivation bugs; best-iterate bookkeeping makes the
-result never worse than the identity strategy.
+The error is evaluated as ||C^{-T} A^T||_F^2 with one banded triangular
+solve, O(b n^2) for a dense workload, so C is never formed. The optimizer
+is scipy's L-BFGS-B on c_1..c_{b-1} with its own finite-difference
+gradients, which removes a whole class of derivation bugs; the result is
+never worse than the identity strategy.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-
-
-class OptimizationDivergedError(RuntimeError):
-    """The search objective became non-finite."""
+import scipy.optimize
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,43 +87,34 @@ def sensitivity(s: Strategy, n: int) -> float:
 def expected_error(w: Workload, s: Strategy) -> float:
     """Total squared error ||A C^{-1}||_F^2 * sensitivity(C)^2.
 
-    Wild coefficients can overflow to inf; that is reported as an infinite
-    error (the optimizer treats it as divergence), not a warning.
+    Computed as ||C^{-T} A^T||_F^2 by one banded solve: C^T is upper-banded
+    with c_k on superdiagonal k. Wild coefficients can overflow to inf; that
+    is reported as an infinite error, not a warning.
     """
-    c = materialize(s, w.n)
+    u = s.bands - 1
+    ab = np.zeros((s.bands, w.n))
+    for k, c in enumerate(s.coefficients):
+        ab[u - k, k:] = c
     with np.errstate(over="ignore", invalid="ignore"):
-        c_inv = scipy.linalg.solve_triangular(c, np.eye(w.n), lower=True)
-        b = w.matrix @ c_inv
-        return float(np.sum(b * b)) * sensitivity(s, w.n) ** 2
+        x = scipy.linalg.solve_banded((0, u), ab, w.matrix.T)
+        return float(np.sum(x * x)) * sensitivity(s, w.n) ** 2
 
 
-def optimize_banded(
-    w: Workload,
-    bands: int,
-    iters: int = 200,
-    step_size: float = 1e-4,
-    callback: Optional[Callable[[int, float, float], None]] = None,
-) -> Strategy:
-    """Gradient descent over band coefficients, c_0 pinned to 1.
+def optimize_banded(w: Workload, bands: int, iters: int = 200) -> Strategy:
+    """Minimizes expected_error over band coefficients, c_0 pinned to 1.
 
-    Gradients are central finite differences (step 1e-6). Starts at the
-    identity strategy and returns the best iterate seen, so the result is
+    Runs L-BFGS-B from the identity strategy with scipy's finite-difference
+    gradients. A result that is not strictly better than the identity
+    (including a non-finite one) yields the identity, so the result is
     never worse than identity.
 
     Args:
       w: The workload to minimize expected_error against.
       bands: Number of bands; 1 returns the identity strategy.
-      iters: Gradient steps.
-      step_size: Fixed descent step.
-      callback: Optional hook called as callback(iteration, objective,
-        best_objective) after each step.
+      iters: Maximum L-BFGS-B iterations.
 
     Returns:
       The best strategy found.
-
-    Raises:
-      OptimizationDivergedError: The objective became non-finite; reduce
-        step_size.
     """
     if bands < 1:
         raise ValueError("bands must be at least 1")
@@ -138,33 +125,18 @@ def optimize_banded(
     if w.n < bands:
         raise ValueError(f"workload horizon {w.n} is smaller than bands {bands}")
 
-    fd_step = 1e-6
-
     def objective(tail: np.ndarray) -> float:
         return expected_error(w, Strategy((1.0, *tail)))
 
-    tail = np.zeros(bands - 1)
-    best_tail = tail.copy()
-    best_val = objective(tail)
-    for it in range(iters):
-        grad = np.zeros_like(tail)
-        for i in range(tail.size):
-            bump = np.zeros_like(tail)
-            bump[i] = fd_step
-            grad[i] = (objective(tail + bump) - objective(tail - bump)) / (2 * fd_step)
-        tail = tail - step_size * grad
-        val = objective(tail)
-        if not np.isfinite(val):
-            raise OptimizationDivergedError(
-                f"objective became non-finite at iteration {it} "
-                f"(coefficients {tuple(tail)}); reduce step_size"
-            )
-        if val < best_val:
-            best_val = val
-            best_tail = tail.copy()
-        if callback is not None:
-            callback(it, val, best_val)
-    return Strategy((1.0, *best_tail))
+    identity = np.zeros(bands - 1)
+    identity_val = objective(identity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = scipy.optimize.minimize(
+            objective, identity, method="L-BFGS-B", options={"maxiter": iters}
+        )
+    if not result.fun < identity_val:
+        return IDENTITY
+    return Strategy((1.0, *result.x))
 
 
 def strategy_to_text(s: Strategy, n: int) -> str:

@@ -148,18 +148,3 @@ def privatize(
     )
     return noisy, next_state
 
-
-def segmented_gaussian(key: prng.PrngKey, layout: Layout, stddev: float) -> np.ndarray:
-    """Gaussian noise generated independently per layout segment.
-
-    Splits the key once per segment and concatenates the results. Because
-    sibling keys have independent streams, the distribution matches
-    whole-vector generation; segments can therefore be produced on separate
-    workers without coordination.
-    """
-    keys = prng.split(key, len(layout.segments))
-    parts = [
-        prng.gaussian(k, length, stddev)
-        for k, (_, _, length) in zip(keys, layout.segments)
-    ]
-    return np.concatenate(parts) if parts else np.zeros(0)

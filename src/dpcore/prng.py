@@ -35,12 +35,9 @@ class PrngKey:
 
     Attributes:
       words: Four 64-bit words of opaque state.
-      lineage: The sequence of split indices that produced this key from its
-        root seed. Diagnostics only; does not affect the stream.
     """
 
     words: tuple[int, int, int, int]
-    lineage: tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.words) != 4:
@@ -97,7 +94,7 @@ def fold_in(key: PrngKey, index: int) -> PrngKey:
         raise ValueError(f"fold_in index must be non-negative, got {index}")
     material = key._bytes() + _SPLIT_TAG + int(index).to_bytes(8, "big")
     digest = hashlib.sha256(material).digest()
-    return PrngKey(_words_from_digest(digest), key.lineage + (index,))
+    return PrngKey(_words_from_digest(digest))
 
 
 def _uniform_open(key: PrngKey, length: int) -> np.ndarray:

@@ -127,7 +127,6 @@ class OptimizerConfig:
 class MfConfig:
     bands: int = 4
     opt_iters: int = 200
-    opt_step_size: float = 1e-4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -366,7 +365,8 @@ class TrainOutcome:
     report: dict
 
 
-def _resolve_sigma(cfg: RunConfig) -> float:
+def resolve_sigma(cfg: RunConfig) -> float:
+    """The noise multiplier of a run: given, or calibrated for its mechanism."""
     p = cfg.privacy
     if p.noise_multiplier is not None:
         return p.noise_multiplier
@@ -382,7 +382,7 @@ def _normalization_denominator(cfg: RunConfig, n: int) -> float:
     return float(cfg.batch.sampling_prob) * n
 
 
-def _achieved_epsilon(cfg, sigma, strategy):
+def _achieved_epsilon(cfg, sigma, strategy, plan):
     if cfg.mechanism == "none":
         return None
     if sigma == 0.0:
@@ -394,7 +394,7 @@ def _achieved_epsilon(cfg, sigma, strategy):
             noise_multiplier=sigma,
             sampling_prob=cfg.batch.sampling_prob,
             steps=cfg.steps,
-            amplification_valid=True,
+            amplification_valid=plan.amplification_valid,
         )
         return accounting.epsilon(spec)
     return accounting.mf_epsilon(strategy, sigma, cfg.privacy.delta, cfg.steps)
@@ -423,7 +423,7 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
     priv = None
     priv_state = None
     if cfg.mechanism != "none":
-        sigma = _resolve_sigma(cfg)
+        sigma = resolve_sigma(cfg)
         if cfg.mechanism == "dpsgd":
             priv = Privatizer(
                 kind=GAUSSIAN,
@@ -435,7 +435,6 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
                 matrix_factorization.prefix_workload(cfg.steps),
                 cfg.mf.bands,
                 iters=cfg.mf.opt_iters,
-                step_size=cfg.mf.opt_step_size,
             )
             priv = Privatizer(
                 kind=BANDED,
@@ -487,7 +486,7 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
             trajectory.append([step, dataset_mean_loss(model, params, dataset)])
     elapsed = time.perf_counter() - started
 
-    achieved = _achieved_epsilon(cfg, sigma, strategy)
+    achieved = _achieved_epsilon(cfg, sigma, strategy, plan)
     report = {
         "config": config_to_dict(cfg),
         "privacy_warning": plan.privacy_warning,

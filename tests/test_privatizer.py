@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -175,19 +173,6 @@ def test_gaussian_noise_distribution_ks():
         samples[i] = out.values[0]
     result = scipy.stats.kstest(samples, "norm", args=(0.0, stddev))
     assert result.pvalue > 1e-3
-
-
-def test_segmented_noise_moments():
-    # Splitting generation across segments must not change the distribution.
-    layout = models.Layout((("a", 0, 2000), ("b", 2000, 3000), ("c", 5000, 1000)))
-    whole = prng.gaussian(prng.seed(3), layout.total_length, 1.5)
-    parts = pz.segmented_gaussian(prng.seed(3), layout, 1.5)
-    assert parts.shape == whole.shape
-    for sample in (whole, parts):
-        assert abs(sample.mean()) < 4 * 1.5 / math.sqrt(sample.size)
-        assert abs(sample.var() - 1.5**2) < 0.1
-    # distinct keys per segment: segments are not copies of each other
-    assert np.any(parts[:1000] != parts[5000:6000])
 
 
 def test_privatizer_validation():

@@ -21,7 +21,6 @@ def test_split_path_replay():
     k2 = prng.split(prng.split(prng.seed(42), 1)[0], 4)[3]
     assert k1 == k2
     assert np.array_equal(prng.gaussian(k1, 64, 1.0), prng.gaussian(k2, 64, 1.0))
-    assert k1.lineage == (0, 3)
 
 
 def test_split_children_distinct_streams():

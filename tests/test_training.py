@@ -169,6 +169,23 @@ def test_banded_mf_training_runs():
     assert out.report["achieved_epsilon"] == pytest.approx(expected)
 
 
+def _long_banded_mf_dict(**overrides):
+    return _cfg_dict(
+        mechanism="banded-mf",
+        batch={"strategy": "cyclic-poisson", "sampling_prob": 1 / 128},
+        steps=128,
+        **overrides,
+    )
+
+
+def test_banded_mf_trains_at_long_horizon():
+    out = training.train(training.config_from_dict(_long_banded_mf_dict()))
+    coefficients = out.report["strategy_coefficients"]
+    assert len(coefficients) == training.MfConfig().bands
+    assert coefficients[0] == 1.0 and all(map(math.isfinite, coefficients))
+    assert np.all(np.isfinite(out.final_params.values))
+
+
 def test_group_level_clipping_in_trainer():
     raw = _cfg_dict(
         dataset={"source": "synthetic", "n": 120, "d": 6,
@@ -334,6 +351,21 @@ def test_cli_calibrate_and_sigma_from_round_trip(tmp_path, capsys):
     doc = json.loads(report_path.read_text())
     assert doc["sigma"] == cal["noise_multiplier"]
     assert doc["achieved_epsilon"] <= 8.0
+
+
+def test_cli_train_banded_mf_long_horizon(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    raw = _long_banded_mf_dict(report_path=str(report_path))
+    code = cli.main(["train", "--config", _write_cfg(tmp_path, raw)])
+    assert code == 0
+    assert json.loads(report_path.read_text())["steps_run"] == 128
+
+
+def test_cli_train_rejects_mf_opt_step_size(tmp_path, capsys):
+    raw = _long_banded_mf_dict(mf={"opt_step_size": 1e-4})
+    code = cli.main(["train", "--config", _write_cfg(tmp_path, raw)])
+    assert code == 2
+    assert "opt_step_size" in capsys.readouterr().err
 
 
 def test_cli_calibrate_unreachable_target(tmp_path, capsys):

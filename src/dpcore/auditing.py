@@ -35,7 +35,7 @@ import numpy as np
 import scipy.stats
 
 from . import accounting, prng, training
-from .models import Dataset, Example, GradientVector, Model, batch_grads, batch_losses
+from .models import Dataset, GradientVector, Model, batch_grads, batch_losses
 
 LABEL_FLIP = "label-flip"
 GRADIENT_DIRECTION = "gradient-direction"
@@ -47,11 +47,12 @@ class CanarySet:
 
     kind: str
     included: np.ndarray  # (m,) bool
-    examples: list[Example]
+    features: np.ndarray  # (m, d)
+    labels: np.ndarray  # (m,)
 
     @property
     def m(self) -> int:
-        return len(self.examples)
+        return self.labels.shape[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,22 +135,18 @@ def assign_canaries(
     bits_key, payload_key = prng.split(key, 2)
     included = prng.uniform(bits_key, m) < 0.5
 
-    examples = []
     if kind == LABEL_FLIP:
         if m > dataset.size:
             raise ValueError(f"m={m} exceeds dataset size {dataset.size}")
-        for i in range(dataset.size - m, dataset.size):
-            src = dataset.example(i)
-            flipped = 1.0 - src.label if dataset.task == "binary-classification" else -src.label
-            examples.append(Example(src.features.copy(), flipped))
+        features = dataset.features[dataset.size - m :].copy()
+        source = dataset.labels[dataset.size - m :]
+        labels = 1.0 - source if dataset.task == "binary-classification" else -source
     else:
         d = dataset.feature_dim
-        raw = prng.gaussian(payload_key, m * d, 1.0).reshape(m, d)
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        label = 1.0
-        for i in range(m):
-            examples.append(Example(raw[i], label))
-    return CanarySet(kind=kind, included=included, examples=examples)
+        features = prng.gaussian(payload_key, m * d, 1.0).reshape(m, d)
+        features /= np.linalg.norm(features, axis=1, keepdims=True)
+        labels = np.ones(m)
+    return CanarySet(kind=kind, included=included, features=features, labels=labels)
 
 
 def score_canaries(
@@ -165,13 +162,11 @@ def score_canaries(
     Gradient-direction: inner product of the parameter displacement with the
     canary's descent direction at init (requires init_params).
     """
-    features = np.stack([ex.features for ex in canaries.examples])
-    labels = np.array([ex.label for ex in canaries.examples])
     if canaries.kind == LABEL_FLIP:
-        return -batch_losses(model, final_params, features, labels)
+        return -batch_losses(model, final_params, canaries.features, canaries.labels)
     if init_params is None:
         raise ValueError("gradient-direction scoring requires init_params")
-    grads = batch_grads(model, init_params, features, labels)
+    grads = batch_grads(model, init_params, canaries.features, canaries.labels)
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     directions = -grads / norms
@@ -305,16 +300,10 @@ def run_audit(
         keep = base.size - m
     else:
         keep = base.size
-    included_examples = [
-        ex for ex, bit in zip(canaries.examples, canaries.included) if bit
-    ]
-    features = [base.features[:keep]]
-    labels = [base.labels[:keep]]
-    if included_examples:
-        features.append(np.stack([ex.features for ex in included_examples]))
-        labels.append(np.array([ex.label for ex in included_examples]))
     train_dataset = Dataset(
-        np.concatenate(features), np.concatenate(labels), base.task
+        np.concatenate([base.features[:keep], canaries.features[canaries.included]]),
+        np.concatenate([base.labels[:keep], canaries.labels[canaries.included]]),
+        base.task,
     )
 
     outcome = training.run_training(cfg, train_dataset)

@@ -15,6 +15,8 @@ this package does not implement).
 Variable-size batches can be padded to a fixed set of bucket sizes with
 dummy slots (sentinel -1 plus a boolean mask) so downstream per-example
 computation sees a small number of distinct shapes.
+``clipping.clipped_grad_sum`` takes the gathered rows together with that
+mask and skips the dummy slots.
 """
 
 from __future__ import annotations
@@ -32,9 +34,19 @@ CYCLIC_POISSON = "cyclic-poisson"
 SHUFFLED_FIXED = "shuffled-fixed"
 TRUNCATED_POISSON = "truncated-poisson"
 
-_STRATEGIES = (POISSON, CYCLIC_POISSON, SHUFFLED_FIXED, TRUNCATED_POISSON)
+STRATEGIES = (POISSON, CYCLIC_POISSON, SHUFFLED_FIXED, TRUNCATED_POISSON)
 
 SENTINEL = -1
+
+
+def amplification_valid(strategy: str) -> bool:
+    """Whether subsampling-amplified accounting applies to a strategy."""
+    return strategy != SHUFFLED_FIXED
+
+
+def cyclic_epoch_length(sampling_prob: float) -> int:
+    """Steps per cyclic-poisson epoch: the number of shards, ceil(1/q)."""
+    return math.ceil(1.0 / sampling_prob) if sampling_prob > 0 else 1
 
 
 class BatchOverflowError(ValueError):
@@ -65,7 +77,7 @@ class BatchPlan:
     max_batch_size: Optional[int] = None
 
     def __post_init__(self):
-        if self.strategy not in _STRATEGIES:
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n < 1:
             raise ValueError("dataset size must be at least 1")
@@ -86,11 +98,11 @@ class BatchPlan:
     @property
     def amplification_valid(self) -> bool:
         """Whether subsampling-amplified accounting applies to this plan."""
-        return self.strategy != SHUFFLED_FIXED
+        return amplification_valid(self.strategy)
 
     @property
     def privacy_warning(self) -> Optional[str]:
-        if self.strategy == SHUFFLED_FIXED:
+        if not self.amplification_valid:
             return (
                 "shuffled fixed-size batching does not satisfy the Poisson "
                 "sampling assumption; amplified privacy accounting is invalid "
@@ -157,10 +169,8 @@ def cyclic_epoch_shards(plan: BatchPlan, epoch: int) -> list[np.ndarray]:
     """
     if plan.strategy != CYCLIC_POISSON:
         raise ValueError(f"plan strategy is {plan.strategy!r}, expected {CYCLIC_POISSON!r}")
-    q = plan.sampling_prob
-    epoch_len = math.ceil(1.0 / q) if q > 0 else 1
     perm = prng.permutation(prng.fold_in(prng.fold_in(plan.key, 1), epoch), plan.n)
-    return list(np.array_split(perm, epoch_len))
+    return list(np.array_split(perm, cyclic_epoch_length(plan.sampling_prob)))
 
 
 def shuffled_fixed_batches(plan: BatchPlan) -> Iterator[np.ndarray]:

@@ -1,8 +1,10 @@
 """Per-example and per-group gradient clipping with attached sensitivity.
 
-The central operation, :func:`clipped_grad_sum`, partitions a batch into
-microbatches, computes per-example gradients within each, clips per example
-(or per group, after in-group summation), and accumulates contributions in
+The central operation, :func:`clipped_grad_sum`, takes a batch as gathered
+arrays (features, labels, optional group keys) plus an optional validity
+mask for padded slots. It partitions the batch into microbatches, computes
+per-example gradients of the real rows within each, clips per example (or
+per group, after in-group summation), and accumulates contributions in
 batch order. The microbatch size trades peak memory for vectorization and
 never changes the result: accumulation order is fixed, so outputs are
 bit-identical across microbatch sizes.
@@ -20,11 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .models import Example, GradientVector, Model, batch_grads, vector_norm
+from .models import GradientVector, Model, batch_grads, vector_norm
 
 FULL_BATCH = None  # microbatch_size sentinel: one microbatch spanning the batch
 
@@ -74,20 +76,6 @@ class ClippedGradientSum:
     dropped_nonfinite_count: int
 
 
-@dataclasses.dataclass(frozen=True)
-class ClipDebugInfo:
-    """Instrumentation from a debug aggregation run.
-
-    per_unit_clipped holds each contributing unit's clipped gradient (zero
-    vectors for dropped units), in accumulation order. peak_live_grads is the
-    largest number of per-example gradient rows materialized at once, which
-    is bounded by the microbatch size.
-    """
-
-    per_unit_clipped: list[np.ndarray]
-    peak_live_grads: int
-
-
 def clip(g: GradientVector, clip_norm: float, geometry: str = "l2") -> GradientVector:
     """Scales ``g`` to norm at most ``clip_norm``: g * min(1, C/||g||).
 
@@ -112,13 +100,6 @@ def _row_norms(rows: np.ndarray, geometry: str) -> np.ndarray:
     return np.max(np.abs(rows), axis=1)
 
 
-def _clip_row(row: np.ndarray, clip_norm: float, geometry: str) -> np.ndarray:
-    norm = vector_norm(row, geometry)
-    if norm <= clip_norm:
-        return row
-    return row * (clip_norm / norm)
-
-
 def _microbatch_bounds(n: int, microbatch_size: Optional[int]):
     m = n if microbatch_size is None else microbatch_size
     m = max(m, 1)
@@ -128,67 +109,53 @@ def _microbatch_bounds(n: int, microbatch_size: Optional[int]):
 def clipped_grad_sum(
     model: Model,
     params: GradientVector,
-    batch: Sequence[Example],
+    features: np.ndarray,
+    labels: np.ndarray,
     cfg: ClipConfig,
+    *,
+    group_keys: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
 ) -> ClippedGradientSum:
-    """Sums clipped per-unit gradients over a batch.
+    """Sums clipped per-unit gradients over a batch of gathered rows.
 
-    Dummy examples contribute nothing. Any unit (example, or group sum at
-    group level) whose gradient has a non-finite component is replaced by
-    zero and counted in dropped_nonfinite_count. The result is independent
-    of cfg.microbatch_size.
+    Masked-out rows (padding) are never differentiated and contribute
+    nothing. Any unit (example, or group sum at group level) whose gradient
+    has a non-finite component is replaced by zero and counted in
+    dropped_nonfinite_count. The result is independent of
+    cfg.microbatch_size.
 
     Args:
       model: The model whose per-example gradients are aggregated.
       params: Current parameters.
-      batch: Examples; may be empty, padded with dummies, or carry group
-        keys (required for group-level clipping).
+      features: (B, d) feature rows; B may be 0.
+      labels: (B,) labels.
       cfg: Clip configuration.
+      group_keys: (B,) integer group key per row; required for group-level
+        clipping.
+      mask: (B,) bool, False for padding rows; None means every row is real.
 
     Returns:
       The clipped sum with sensitivity equal to cfg.clip_norm.
     """
-    result, _ = _aggregate(model, params, batch, cfg, debug=False)
-    return result
-
-
-def clipped_grad_sum_debug(
-    model: Model,
-    params: GradientVector,
-    batch: Sequence[Example],
-    cfg: ClipConfig,
-) -> tuple[ClippedGradientSum, ClipDebugInfo]:
-    """Like :func:`clipped_grad_sum` but also returns instrumentation."""
-    result, info = _aggregate(model, params, batch, cfg, debug=True)
-    return result, info
-
-
-def _aggregate(model, params, batch, cfg, debug):
+    n = features.shape[0]
+    if labels.shape[0] != n or any(a is not None and len(a) != n for a in (group_keys, mask)):
+        raise ValueError("labels, group_keys and mask need one entry per feature row")
+    if cfg.level == "group" and group_keys is None:
+        raise ValueError("group-level clipping requires group keys")
     layout = params.layout
     total = np.zeros(layout.total_length, dtype=np.float64)
     contributing = 0
     dropped = 0
-    per_unit: list[np.ndarray] = []
-    peak_live = 0
-
-    if cfg.level == "group":
-        for ex in batch:
-            if not ex.is_dummy and ex.group_key is None:
-                raise ValueError("group-level clipping requires a group key on every example")
-
     # group_key -> accumulated in-group gradient; insertion order is the
     # order of first occurrence in the batch, which fixes accumulation order.
     group_sums: dict[int, np.ndarray] = {}
 
-    for lo, hi in _microbatch_bounds(len(batch), cfg.microbatch_size):
-        chunk = batch[lo:hi]
-        real = [ex for ex in chunk if not ex.is_dummy]
-        if not real:
+    for lo, hi in _microbatch_bounds(n, cfg.microbatch_size):
+        real = slice(lo, hi) if mask is None else lo + np.flatnonzero(mask[lo:hi])
+        chunk = features[real]
+        if chunk.shape[0] == 0:
             continue
-        features = np.stack([ex.features for ex in real])
-        labels = np.array([ex.label for ex in real], dtype=np.float64)
-        rows = batch_grads(model, params, features, labels)
-        peak_live = max(peak_live, rows.shape[0])
+        rows = batch_grads(model, params, chunk, labels[real])
         if cfg.level == "example":
             # Norms, factors, and scaling are row-local, so vectorizing them
             # cannot change any row's bits; only the accumulation below must
@@ -199,41 +166,29 @@ def _aggregate(model, params, batch, cfg, debug):
                 norms = _row_norms(rows, cfg.geometry)
                 factors = np.where(norms <= cfg.clip_norm, 1.0, cfg.clip_norm / norms)
                 clipped_rows = rows * factors[:, np.newaxis]
-            for i in range(rows.shape[0]):
-                if not finite[i]:
-                    dropped += 1
-                    if debug:
-                        per_unit.append(np.zeros(rows.shape[1]))
-                    continue
+            kept = np.flatnonzero(finite)
+            for i in kept:
                 total += clipped_rows[i]
-                contributing += 1
-                if debug:
-                    per_unit.append(clipped_rows[i].copy())
+            contributing += kept.size
+            dropped += rows.shape[0] - kept.size
         else:
-            for ex, row in zip(real, rows):
-                acc = group_sums.get(ex.group_key)
+            for key, row in zip(group_keys[real].tolist(), rows):
+                acc = group_sums.get(key)
                 if acc is None:
-                    group_sums[ex.group_key] = row.copy()
+                    group_sums[key] = row.copy()
                 else:
                     acc += row
 
-    if cfg.level == "group":
-        for group_sum in group_sums.values():
-            if not np.all(np.isfinite(group_sum)):
-                dropped += 1
-                if debug:
-                    per_unit.append(np.zeros_like(group_sum))
-                continue
-            clipped = _clip_row(group_sum, cfg.clip_norm, cfg.geometry)
-            total += clipped
-            contributing += 1
-            if debug:
-                per_unit.append(clipped.copy())
+    for group_sum in group_sums.values():
+        if not np.all(np.isfinite(group_sum)):
+            dropped += 1
+            continue
+        total += clip(GradientVector(group_sum, layout), cfg.clip_norm, cfg.geometry).values
+        contributing += 1
 
-    result = ClippedGradientSum(
+    return ClippedGradientSum(
         sum=GradientVector(total, layout),
         sensitivity=cfg.clip_norm,
         contributing_count=contributing,
         dropped_nonfinite_count=dropped,
     )
-    return result, ClipDebugInfo(per_unit, peak_live)

@@ -9,6 +9,11 @@ All parameters and gradients travel as :class:`GradientVector`, a flat
 float64 array with a named segment layout, so optimizer and noise code never
 needs to know the model structure.
 
+Examples travel as arrays, never as per-example objects: a batch is a
+(B, d) feature matrix and a (B,) label vector, and :func:`batch_grads` and
+:func:`batch_losses` return one row or entry per example. A single example
+is a batch of one row.
+
 Per-example gradient math deliberately avoids BLAS-backed reductions
 (``np.einsum`` with its default fixed-order C loops) so that a given
 example's gradient is bit-identical regardless of how the batch is sliced
@@ -111,20 +116,6 @@ def vector_norm(values: np.ndarray, geometry: str) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class Example:
-    """One training example.
-
-    Dummy examples (batch padding) contribute exactly zero to any gradient
-    sum and are never counted as contributing.
-    """
-
-    features: np.ndarray
-    label: float
-    group_key: Optional[int] = None
-    is_dummy: bool = False
-
-
-@dataclasses.dataclass(frozen=True)
 class Dataset:
     """An in-memory dataset of examples sharing one feature dimension."""
 
@@ -148,10 +139,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    def example(self, i: int) -> Example:
-        group = None if self.group_keys is None else int(self.group_keys[i])
-        return Example(self.features[i], float(self.labels[i]), group_key=group)
 
 
 LINEAR = "linear"
@@ -229,34 +216,6 @@ def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     # -[y log p + (1-y) log(1-p)] with p = sigmoid(z), in the stable form
     # softplus(z) - y*z.
     return np.logaddexp(0.0, z) - y * z
-
-
-def _check_example(model: Model, ex: Example) -> None:
-    if ex.features.shape != (model.input_dim,):
-        raise ValueError(
-            f"feature dimension {ex.features.shape} does not match model "
-            f"input_dim {model.input_dim}"
-        )
-
-
-def per_example_loss(model: Model, params: GradientVector, ex: Example) -> float:
-    """Loss of one example; dummy examples have loss 0 by definition."""
-    _check_example(model, ex)
-    if ex.is_dummy:
-        return 0.0
-    x = ex.features[np.newaxis, :]
-    y = np.array([ex.label])
-    return float(batch_losses(model, params, x, y)[0])
-
-
-def per_example_grad(model: Model, params: GradientVector, ex: Example) -> GradientVector:
-    """Exact analytic gradient of per_example_loss w.r.t. params."""
-    _check_example(model, ex)
-    if ex.is_dummy:
-        return GradientVector.zeros(params.layout)
-    x = ex.features[np.newaxis, :]
-    y = np.array([ex.label])
-    return GradientVector(batch_grads(model, params, x, y)[0], params.layout)
 
 
 def batch_losses(

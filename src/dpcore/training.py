@@ -2,13 +2,15 @@
 
 One training step is the fixed composition
 
-    batch indices -> clipped gradient sum -> privatize -> normalize by the
-    expected batch size -> optimizer update -> apply,
+    batch indices -> gather rows -> clipped gradient sum -> privatize ->
+    normalize by the expected batch size -> optimizer update -> apply,
 
-with the non-private baseline (mechanism "none") replacing the first three
-stages by a plain per-example gradient sum. Everything stochastic flows
-from the run seed through explicit PRNG keys, so a report is a pure
-function of its config (timing fields aside).
+with the non-private baseline (mechanism "none") replacing the clipped sum
+and privatize stages by a plain per-example gradient sum. It is written
+once, in :func:`train_step`, which the training loop and the benchmark
+cells both call. Everything stochastic flows from the run seed through
+explicit PRNG keys, so a report is a pure function of its config (timing
+fields aside).
 
 Config and policy validation happens before the first step: a configuration
 whose accounting would be invalid (for example amplified accounting on
@@ -215,11 +217,7 @@ def validate_config(cfg: RunConfig) -> None:
         _require(cfg.dataset.path is not None, "csv dataset requires a path")
 
     strategy = cfg.batch.strategy
-    _require(
-        strategy in (batch_selection.POISSON, batch_selection.CYCLIC_POISSON,
-                     batch_selection.SHUFFLED_FIXED, batch_selection.TRUNCATED_POISSON),
-        f"unknown batch strategy {strategy!r}",
-    )
+    _require(strategy in batch_selection.STRATEGIES, f"unknown batch strategy {strategy!r}")
     if strategy != batch_selection.SHUFFLED_FIXED:
         q = cfg.batch.sampling_prob
         _require(q is not None and 0.0 <= q <= 1.0,
@@ -252,8 +250,7 @@ def validate_config(cfg: RunConfig) -> None:
         _require(cfg.privacy.noise_multiplier >= 0, "noise_multiplier must be non-negative")
     _require(0.0 < cfg.privacy.delta < 1.0, "delta must be in (0, 1)")
 
-    amplification_ok = cfg.batch.strategy != batch_selection.SHUFFLED_FIXED
-    if not amplification_ok:
+    if not batch_selection.amplification_valid(strategy):
         raise PolicyError(
             "shuffled fixed-size batches invalidate subsampling-amplified "
             "accounting; use a Poisson-family batch strategy for private "
@@ -261,13 +258,16 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if cfg.mechanism == "banded-mf":
         _require(cfg.mf.bands >= 1, "mf.bands must be at least 1")
-        if cfg.batch.strategy != batch_selection.CYCLIC_POISSON:
+        _require(cfg.mf.bands <= cfg.steps,
+                 f"mf.bands ({cfg.mf.bands}) must not exceed steps ({cfg.steps})")
+        _require(cfg.mf.opt_iters >= 1, "mf.opt_iters must be at least 1")
+        if strategy != batch_selection.CYCLIC_POISSON:
             raise PolicyError(
                 "banded-mf accounting assumes single participation; use the "
                 "cyclic-poisson batch strategy"
             )
         q = cfg.batch.sampling_prob
-        epoch_len = math.ceil(1.0 / q) if q > 0 else 1
+        epoch_len = batch_selection.cyclic_epoch_length(q)
         if cfg.steps > epoch_len:
             raise PolicyError(
                 f"banded-mf accounting assumes single participation, which "
@@ -450,7 +450,6 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
     denom = _normalization_denominator(cfg, dataset.size)
     _require(denom > 0, "expected batch size must be positive")
 
-    opt_state = adamw_init(params.layout) if cfg.optimizer.kind == "adamw" else None
     eval_every = cfg.eval_every if cfg.eval_every is not None else max(1, cfg.steps // 20)
 
     trajectory = [[0, dataset_mean_loss(model, params, dataset)]]
@@ -458,30 +457,18 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
     dropped_total = 0
     contributing_total = 0
 
+    opt_state = None
     started = time.perf_counter()
     for step, batch_idx in enumerate(batch_selection.batches(plan), start=1):
         if batch_idx.size == 0:
             empty_batches += 1
-        if cfg.mechanism == "none":
-            grad_values = _raw_grad_sum(model, params, dataset, batch_idx)
-            grad = GradientVector(grad_values, params.layout)
-        else:
-            examples = [dataset.example(int(i)) for i in batch_idx]
-            csum = clipped_grad_sum(model, params, examples, cfg.clip)
+        params, opt_state, priv_state, csum = train_step(
+            model, dataset, batch_idx, params, opt_state, priv_state,
+            clip=cfg.clip, priv=priv, optimizer=cfg.optimizer, denom=denom,
+        )
+        if csum is not None:
             dropped_total += csum.dropped_nonfinite_count
             contributing_total += csum.contributing_count
-            noisy, priv_state = privatize(priv, csum, priv_state)
-            grad = noisy
-        grad = GradientVector(grad.values / denom, params.layout)
-        if cfg.optimizer.kind == "sgd":
-            update, _ = sgd_update(cfg.optimizer.learning_rate, grad, params)
-        else:
-            o = cfg.optimizer
-            update, opt_state = adamw_update(
-                o.learning_rate, o.beta1, o.beta2, o.eps, o.weight_decay,
-                grad, opt_state, params,
-            )
-        params = params + update
         if step % eval_every == 0 or step == cfg.steps:
             trajectory.append([step, dataset_mean_loss(model, params, dataset)])
     elapsed = time.perf_counter() - started
@@ -514,15 +501,44 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
     return TrainOutcome(initial_params=initial_params, final_params=params, report=report)
 
 
-def _raw_grad_sum(model, params, dataset, batch_idx) -> np.ndarray:
+def train_step(model, dataset, batch_idx, params, opt_state, priv_state, *,
+               clip, priv, optimizer, denom):
+    """One training step on the rows ``batch_idx`` of ``dataset``.
+
+    Gathers the rows, sums their clipped gradients and privatizes the sum
+    (or, when ``priv`` is None, the non-private baseline, sums the raw
+    per-example gradients), divides by ``denom``, and applies the optimizer
+    update. ``opt_state`` None starts a fresh optimizer.
+
+    Returns:
+      (params, opt_state, priv_state, csum): the next state, and the
+      ClippedGradientSum of a private step (None for the baseline).
+    """
+    features = dataset.features[batch_idx]
+    labels = dataset.labels[batch_idx]
+    if priv is None:
+        csum = None
+        grad = GradientVector(_raw_grad_sum(model, params, features, labels), params.layout)
+    else:
+        group_keys = None if dataset.group_keys is None else dataset.group_keys[batch_idx]
+        csum = clipped_grad_sum(model, params, features, labels, clip, group_keys=group_keys)
+        grad, priv_state = privatize(priv, csum, priv_state)
+    grad = GradientVector(grad.values / denom, params.layout)
+    o = optimizer
+    if o.kind == "sgd":
+        update, opt_state = sgd_update(o.learning_rate, grad, params)
+    else:
+        update, opt_state = adamw_update(
+            o.learning_rate, o.beta1, o.beta2, o.eps, o.weight_decay,
+            grad, opt_state or adamw_init(params.layout), params,
+        )
+    return params + update, opt_state, priv_state, csum
+
+
+def _raw_grad_sum(model, params, features, labels) -> np.ndarray:
     """Unclipped per-example gradient sum, accumulated in batch order."""
     total = np.zeros(params.layout.total_length, dtype=np.float64)
-    if batch_idx.size == 0:
-        return total
-    rows = batch_grads(
-        model, params, dataset.features[batch_idx], dataset.labels[batch_idx]
-    )
-    for row in rows:
+    for row in batch_grads(model, params, features, labels):
         total += row
     return total
 
@@ -634,36 +650,21 @@ def _benchmark_cell(cfg, model, dataset, mechanism, batch_size, clip, sigma):
             kind=GAUSSIAN, noise_stddev=sigma * clip.clip_norm, sensitivity=clip.clip_norm
         )
         priv_state = privatizer_init(priv, params.layout, prng.fold_in(root, 3))
-    opt_state = adamw_init(params.layout) if cfg.optimizer.kind == "adamw" else None
+    opt_state = None
     n = dataset.size
 
-    def one_step(step, params, priv_state, opt_state):
-        start = (step * batch_size) % n
-        idx = np.arange(start, start + batch_size) % n
-        if mechanism == "none":
-            grad = GradientVector(
-                _raw_grad_sum(model, params, dataset, idx), params.layout
+    def run(count):
+        nonlocal params, opt_state, priv_state
+        for step in range(count):
+            start = (step * batch_size) % n
+            idx = np.arange(start, start + batch_size) % n
+            params, opt_state, priv_state, _ = train_step(
+                model, dataset, idx, params, opt_state, priv_state,
+                clip=clip, priv=priv, optimizer=cfg.optimizer, denom=batch_size,
             )
-        else:
-            examples = [dataset.example(int(i)) for i in idx]
-            csum = clipped_grad_sum(model, params, examples, clip)
-            grad, priv_state = privatize(priv, csum, priv_state)
-        grad = GradientVector(grad.values / batch_size, params.layout)
-        if cfg.optimizer.kind == "sgd":
-            update, _ = sgd_update(cfg.optimizer.learning_rate, grad, params)
-            new_opt = opt_state
-        else:
-            o = cfg.optimizer
-            update, new_opt = adamw_update(
-                o.learning_rate, o.beta1, o.beta2, o.eps, o.weight_decay,
-                grad, opt_state, params,
-            )
-        return params + update, priv_state, new_opt
 
-    for step in range(cfg.benchmark.warmup_steps):
-        params, priv_state, opt_state = one_step(step, params, priv_state, opt_state)
+    run(cfg.benchmark.warmup_steps)
     started = time.perf_counter()
-    for step in range(cfg.benchmark.measured_steps):
-        params, priv_state, opt_state = one_step(step, params, priv_state, opt_state)
+    run(cfg.benchmark.measured_steps)
     elapsed = time.perf_counter() - started
     return cfg.benchmark.measured_steps * batch_size / elapsed

@@ -23,27 +23,32 @@ def random_model(rng) -> models.Model:
     return models.Model(kind=str(kind), input_dim=d)
 
 
-def random_example(rng, d: int, classification: bool) -> models.Example:
+def random_example(rng, d: int, classification: bool):
+    """One example as a one-row batch: features (1, d), labels (1,)."""
     x = rng.standard_normal(d)
     y = float(rng.integers(0, 2)) if classification else float(rng.standard_normal())
-    return models.Example(x, y)
+    return x[np.newaxis, :], np.array([y])
 
 
 def random_batch(rng, d: int, size: int, classification: bool = True):
-    return [random_example(rng, d, classification) for _ in range(size)]
+    """``size`` examples drawn one after another: features (size, d), labels (size,)."""
+    rows = [random_example(rng, d, classification) for _ in range(size)]
+    features = np.concatenate([x for x, _ in rows]) if rows else np.zeros((0, d))
+    labels = np.concatenate([y for _, y in rows]) if rows else np.zeros(0)
+    return features, labels
 
 
-def finite_difference_grad(model, params, ex, step=1e-5) -> np.ndarray:
-    """Central-difference gradient oracle, independent of the backprop path."""
+def finite_difference_grad(model, params, features, labels, step=1e-5) -> np.ndarray:
+    """Central-difference gradient oracle for a one-row batch, independent of backprop."""
     grad = np.zeros_like(params.values)
     for i in range(params.values.size):
         up = params.values.copy()
         dn = params.values.copy()
         up[i] += step
         dn[i] -= step
-        lu = models.per_example_loss(model, models.GradientVector(up, params.layout), ex)
-        ld = models.per_example_loss(model, models.GradientVector(dn, params.layout), ex)
-        grad[i] = (lu - ld) / (2.0 * step)
+        lu = models.batch_losses(model, models.GradientVector(up, params.layout), features, labels)
+        ld = models.batch_losses(model, models.GradientVector(dn, params.layout), features, labels)
+        grad[i] = (lu[0] - ld[0]) / (2.0 * step)
     return grad
 
 

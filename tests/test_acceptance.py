@@ -42,10 +42,10 @@ def test_criterion_01_microbatch_invariance():
     for trial in range(50):
         model = random_model(rng)
         params = models.init_params(model, prng.seed(trial))
-        batch = random_batch(rng, model.input_dim, int(rng.integers(0, 21)))
+        features, labels = random_batch(rng, model.input_dim, int(rng.integers(0, 21)))
         sums = [
             clipping.clipped_grad_sum(
-                model, params, batch,
+                model, params, features, labels,
                 clipping.ClipConfig(clip_norm=0.5, microbatch_size=m),
             ).sum.values
             for m in (1, 4, None)
@@ -66,9 +66,9 @@ def test_criterion_02_gradient_correctness():
         model = random_model(rng)
         kinds_seen.add(model.kind)
         params = models.init_params(model, prng.seed(1000 + trial))
-        ex = random_batch(rng, model.input_dim, 1)[0]
-        analytic = models.per_example_grad(model, params, ex).values
-        fd = finite_difference_grad(model, params, ex, step=1e-5)
+        features, labels = random_batch(rng, model.input_dim, 1)
+        analytic = models.batch_grads(model, params, features, labels)[0]
+        fd = finite_difference_grad(model, params, features, labels, step=1e-5)
         rel = np.max(np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8))
         worst = max(worst, float(rel))
     ok = worst < 1e-4 and kinds_seen == {"linear", "logistic", "mlp"}
@@ -86,24 +86,22 @@ def test_criterion_03_sensitivity_oracle():
             model = random_model(rng)
             params = models.init_params(model, prng.seed(trial))
             size = int(rng.integers(1, 7))
-            batch = random_batch(rng, model.input_dim, size)
+            features, labels = random_batch(rng, model.input_dim, size)
+            keys = None
             if level == "group":
-                batch = [
-                    models.Example(ex.features, ex.label, group_key=int(rng.integers(0, 3)))
-                    for ex in batch
-                ]
+                keys = np.array([int(rng.integers(0, 3)) for _ in range(size)])
             cfg = clipping.ClipConfig(clip_norm=clip_norm, level=level)
-            full = clipping.clipped_grad_sum(model, params, batch, cfg)
+            full = clipping.clipped_grad_sum(model, params, features, labels, cfg, group_keys=keys)
             assert full.sensitivity == clip_norm
             if level == "example":
-                neighbors = [batch[:i] + batch[i + 1:] for i in range(size)]
+                neighbors = [np.arange(size) != i for i in range(size)]
             else:
-                neighbors = [
-                    [ex for ex in batch if ex.group_key != g]
-                    for g in {ex.group_key for ex in batch}
-                ]
-            for reduced in neighbors:
-                sub = clipping.clipped_grad_sum(model, params, reduced, cfg)
+                neighbors = [keys != g for g in set(keys.tolist())]
+            for keep in neighbors:
+                sub = clipping.clipped_grad_sum(
+                    model, params, features[keep], labels[keep], cfg,
+                    group_keys=None if keys is None else keys[keep],
+                )
                 worst = max(worst, float(np.linalg.norm(full.sum.values - sub.sum.values)))
     _report(3, worst <= clip_norm + 1e-12,
             f"brute-force add/remove, both levels: max shift {worst:.12f} vs C={clip_norm}",

@@ -24,27 +24,23 @@ def test_assignment_deterministic():
     a = auditing.assign_canaries(20, auditing.LABEL_FLIP, ds, prng.seed(5))
     b = auditing.assign_canaries(20, auditing.LABEL_FLIP, ds, prng.seed(5))
     assert np.array_equal(a.included, b.included)
-    assert all(
-        np.array_equal(x.features, y.features) and x.label == y.label
-        for x, y in zip(a.examples, b.examples)
-    )
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_label_flip_changes_label():
     ds = _base_dataset(n=30)
     cs = auditing.assign_canaries(10, auditing.LABEL_FLIP, ds, prng.seed(1))
-    for i, canary in enumerate(cs.examples):
-        src = ds.example(ds.size - 10 + i)
-        assert canary.label != src.label
-        assert np.array_equal(canary.features, src.features)
+    assert np.all(cs.labels != ds.labels[-10:])
+    assert np.array_equal(cs.features, ds.features[-10:])
 
 
 def test_gradient_direction_canaries_unit_norm():
     ds = _base_dataset()
     cs = auditing.assign_canaries(15, auditing.GRADIENT_DIRECTION, ds, prng.seed(2))
-    for canary in cs.examples:
-        assert np.linalg.norm(canary.features) == pytest.approx(1.0)
-        assert canary.label == 1.0
+    assert cs.features.shape == (15, 4)
+    np.testing.assert_allclose(np.linalg.norm(cs.features, axis=1), 1.0, rtol=1e-6)
+    assert np.all(cs.labels == 1.0)
 
 
 def test_scores_deterministic():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpcore import clipping, models, prng
+from dpcore import batch_selection, clipping, models, prng
 
 from conftest import random_batch, random_model
 
@@ -41,7 +41,9 @@ def test_clip_other_geometries(geometry, norm):
 def test_empty_batch():
     m = models.Model(kind="linear", input_dim=3)
     p = models.init_params(m, prng.seed(0))
-    res = clipping.clipped_grad_sum(m, p, [], clipping.ClipConfig(clip_norm=2.0))
+    res = clipping.clipped_grad_sum(
+        m, p, np.zeros((0, 3)), np.zeros(0), clipping.ClipConfig(clip_norm=2.0)
+    )
     assert np.array_equal(res.sum.values, np.zeros(4))
     assert res.contributing_count == 0
     assert res.dropped_nonfinite_count == 0
@@ -51,8 +53,9 @@ def test_empty_batch():
 def test_nan_gradient_zeroed_and_counted():
     m = models.Model(kind="linear", input_dim=2)
     p = models.init_params(m, prng.seed(0))
-    bad = models.Example(np.array([np.nan, 1.0]), 0.0)
-    res = clipping.clipped_grad_sum(m, p, [bad], clipping.ClipConfig(clip_norm=1.0))
+    res = clipping.clipped_grad_sum(
+        m, p, np.array([[np.nan, 1.0]]), np.array([0.0]), clipping.ClipConfig(clip_norm=1.0)
+    )
     assert np.array_equal(res.sum.values, np.zeros(3))
     assert res.dropped_nonfinite_count == 1
     assert res.contributing_count == 0
@@ -62,11 +65,11 @@ def test_nan_gradient_zeroed_and_counted():
 def test_inf_feature_also_dropped():
     m = models.Model(kind="linear", input_dim=2)
     p = models.init_params(m, prng.seed(0))
-    good = models.Example(np.array([1.0, 0.0]), 1.0)
-    bad = models.Example(np.array([np.inf, 1.0]), 0.0)
+    features = np.array([[1.0, 0.0], [np.inf, 1.0]])  # good, bad
+    labels = np.array([1.0, 0.0])
     cfg = clipping.ClipConfig(clip_norm=1.0)
-    with_bad = clipping.clipped_grad_sum(m, p, [good, bad], cfg)
-    without = clipping.clipped_grad_sum(m, p, [good], cfg)
+    with_bad = clipping.clipped_grad_sum(m, p, features, labels, cfg)
+    without = clipping.clipped_grad_sum(m, p, features[:1], labels[:1], cfg)
     assert np.array_equal(with_bad.sum.values, without.sum.values)
     assert with_bad.dropped_nonfinite_count == 1
     assert with_bad.contributing_count == 1
@@ -75,10 +78,10 @@ def test_inf_feature_also_dropped():
 def test_microbatch_bitwise_invariance(rng):
     m = models.Model(kind="mlp", input_dim=6, hidden_dim=5)
     p = models.init_params(m, prng.seed(3))
-    batch = random_batch(rng, 6, 17)
+    features, labels = random_batch(rng, 6, 17)
     results = [
         clipping.clipped_grad_sum(
-            m, p, batch, clipping.ClipConfig(clip_norm=0.5, microbatch_size=s)
+            m, p, features, labels, clipping.ClipConfig(clip_norm=0.5, microbatch_size=s)
         )
         for s in (1, 2, 4, 16, None)
     ]
@@ -90,16 +93,44 @@ def test_microbatch_bitwise_invariance(rng):
 def test_dummy_examples_excluded(rng):
     m = models.Model(kind="logistic", input_dim=4)
     p = models.init_params(m, prng.seed(1))
-    real = random_batch(rng, 4, 5)
-    dummies = [
-        models.Example(np.zeros(4), 0.0, is_dummy=True) for _ in range(3)
-    ]
+    real_features, real_labels = random_batch(rng, 4, 5)
     cfg = clipping.ClipConfig(clip_norm=1.0, microbatch_size=2)
-    mixed = [real[0], dummies[0], real[1], real[2], dummies[1], real[3], dummies[2], real[4]]
-    a = clipping.clipped_grad_sum(m, p, mixed, cfg)
-    b = clipping.clipped_grad_sum(m, p, real, cfg)
+    # Slots: real 0, dummy, real 1, real 2, dummy, real 3, dummy, real 4.
+    mask = np.array([True, False, True, True, False, True, False, True])
+    features = np.zeros((8, 4))
+    labels = np.zeros(8)
+    features[mask] = real_features
+    labels[mask] = real_labels
+    a = clipping.clipped_grad_sum(m, p, features, labels, cfg, mask=mask)
+    b = clipping.clipped_grad_sum(m, p, real_features, real_labels, cfg)
     assert np.array_equal(a.sum.values, b.sum.values)
     assert a.contributing_count == 5
+
+
+@pytest.mark.parametrize("level", ["example", "group"])
+@pytest.mark.parametrize("microbatch_size", [1, 3, None])
+def test_masked_slots_add_nothing_even_when_nonfinite(rng, level, microbatch_size):
+    # Padding slots gather the row at SENTINEL (-1), here a non-finite one.
+    # Masked slots must be skipped, not differentiated and dropped.
+    m = models.Model(kind="mlp", input_dim=3, hidden_dim=4)
+    p = models.init_params(m, prng.seed(4))
+    features, labels = random_batch(rng, 3, 10)
+    features[batch_selection.SENTINEL] = [np.nan, np.inf, -np.inf]
+    labels[batch_selection.SENTINEL] = np.nan
+    keys = np.arange(10) % 3
+    idx = [4, 0, 7, 2, 5]
+    padded = batch_selection.pad_batch(idx, [4, 8])
+    assert np.array_equal(padded.indices[5:], [batch_selection.SENTINEL] * 3)
+    cfg = clipping.ClipConfig(clip_norm=0.5, level=level, microbatch_size=microbatch_size)
+    a = clipping.clipped_grad_sum(
+        m, p, features[padded.indices], labels[padded.indices], cfg,
+        group_keys=keys[padded.indices], mask=padded.mask,
+    )
+    b = clipping.clipped_grad_sum(m, p, features[idx], labels[idx], cfg, group_keys=keys[idx])
+    assert np.array_equal(a.sum.values, b.sum.values)
+    assert np.all(np.isfinite(a.sum.values))
+    assert a.contributing_count == b.contributing_count == (5 if level == "example" else 3)
+    assert a.dropped_nonfinite_count == 0
 
 
 def test_group_level_two_members_clipped_once():
@@ -107,11 +138,11 @@ def test_group_level_two_members_clipped_once():
     # n0; the group sum (norm 2*n0) must be clipped once to C, not 2C.
     m = models.Model(kind="linear", input_dim=2)
     p = models.GradientVector.zeros(m.layout())
-    x = np.array([3.0, 4.0])
-    ex = models.Example(x, -1.0, group_key=7)  # grad = (z-y)*[x,1] = [3,4,1]
+    features = np.array([[3.0, 4.0], [3.0, 4.0]])  # grad = (z-y)*[x,1] = [3,4,1]
+    labels = np.array([-1.0, -1.0])
     n0 = np.sqrt(26.0)
     cfg = clipping.ClipConfig(clip_norm=float(n0), level="group")
-    res = clipping.clipped_grad_sum(m, p, [ex, ex], cfg)
+    res = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=np.array([7, 7]))
     assert res.contributing_count == 1
     assert res.sum.norm("l2") == pytest.approx(n0, rel=1e-12)
     expected = np.array([3.0, 4.0, 1.0])  # 2*grad scaled back to norm n0
@@ -121,37 +152,46 @@ def test_group_level_two_members_clipped_once():
 def test_group_level_distinct_groups_clip_separately(rng):
     m = models.Model(kind="logistic", input_dim=3)
     p = models.init_params(m, prng.seed(5))
-    batch = [
-        models.Example(rng.standard_normal(3), 1.0, group_key=i % 3) for i in range(9)
-    ]
+    features = np.stack([rng.standard_normal(3) for _ in range(9)])
+    labels = np.ones(9)
+    keys = np.arange(9) % 3
     cfg = clipping.ClipConfig(clip_norm=0.1, level="group")
-    res, info = clipping.clipped_grad_sum_debug(m, p, batch, cfg)
+    res = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
     assert res.contributing_count == 3
-    for unit in info.per_unit_clipped:
-        assert models.vector_norm(unit, "l2") <= 0.1 * (1 + 1e-12)
+    units = []
+    for g in range(3):
+        member = keys == g
+        unit = clipping.clipped_grad_sum(
+            m, p, features[member], labels[member], cfg, group_keys=keys[member]
+        )
+        assert unit.contributing_count == 1
+        assert models.vector_norm(unit.sum.values, "l2") <= 0.1 * (1 + 1e-12)
+        units.append(unit.sum.values)
+    np.testing.assert_allclose(np.sum(units, axis=0), res.sum.values, atol=1e-12)
 
 
 def test_group_level_missing_key_rejected(rng):
     m = models.Model(kind="linear", input_dim=2)
     p = models.init_params(m, prng.seed(0))
-    batch = [models.Example(np.ones(2), 0.0)]
     with pytest.raises(ValueError):
         clipping.clipped_grad_sum(
-            m, p, batch, clipping.ClipConfig(clip_norm=1.0, level="group")
+            m, p, np.ones((1, 2)), np.zeros(1),
+            clipping.ClipConfig(clip_norm=1.0, level="group"),
         )
 
 
 def test_group_level_microbatch_invariance(rng):
     m = models.Model(kind="linear", input_dim=4)
     p = models.init_params(m, prng.seed(2))
-    batch = [
-        models.Example(rng.standard_normal(4), float(rng.standard_normal()), group_key=int(k))
-        for k in rng.integers(0, 4, size=13)
-    ]
+    keys = rng.integers(0, 4, size=13)
+    rows = [(rng.standard_normal(4), float(rng.standard_normal())) for _ in keys]
+    features = np.stack([x for x, _ in rows])
+    labels = np.array([y for _, y in rows])
     results = [
         clipping.clipped_grad_sum(
-            m, p, batch,
+            m, p, features, labels,
             clipping.ClipConfig(clip_norm=0.7, level="group", microbatch_size=s),
+            group_keys=keys,
         )
         for s in (1, 3, None)
     ]
@@ -159,19 +199,23 @@ def test_group_level_microbatch_invariance(rng):
         assert np.array_equal(results[0].sum.values, res.sum.values)
 
 
-def test_per_unit_norm_bound_debug_mode(rng):
+def test_per_unit_norm_bound(rng):
+    # Each example clipped on its own stays in the ball, and the units add up
+    # to the batch sum.
     for geometry in ("l2", "l1", "linf"):
         m = random_model(rng)
         p = models.init_params(m, prng.seed(9))
-        batch = random_batch(rng, m.input_dim, 12)
+        features, labels = random_batch(rng, m.input_dim, 12)
         cfg = clipping.ClipConfig(clip_norm=0.25, geometry=geometry, microbatch_size=5)
-        res, info = clipping.clipped_grad_sum_debug(m, p, batch, cfg)
-        assert len(info.per_unit_clipped) == 12
-        for unit in info.per_unit_clipped:
-            assert models.vector_norm(unit, geometry) <= 0.25 * (1 + 1e-12)
-        np.testing.assert_allclose(
-            np.sum(info.per_unit_clipped, axis=0), res.sum.values, atol=1e-12
-        )
+        res = clipping.clipped_grad_sum(m, p, features, labels, cfg)
+        assert res.contributing_count == 12
+        units = []
+        for i in range(12):
+            unit = clipping.clipped_grad_sum(m, p, features[i : i + 1], labels[i : i + 1], cfg)
+            assert unit.contributing_count == 1
+            assert models.vector_norm(unit.sum.values, geometry) <= 0.25 * (1 + 1e-12)
+            units.append(unit.sum.values)
+        np.testing.assert_allclose(np.sum(units, axis=0), res.sum.values, atol=1e-12)
 
 
 def test_sensitivity_oracle_add_remove(rng):
@@ -181,35 +225,42 @@ def test_sensitivity_oracle_add_remove(rng):
             m = random_model(rng)
             p = models.init_params(m, prng.seed(trial))
             size = int(rng.integers(1, 7))
-            batch = random_batch(rng, m.input_dim, size)
+            features, labels = random_batch(rng, m.input_dim, size)
+            keys = None
             if level == "group":
-                batch = [
-                    models.Example(ex.features, ex.label, group_key=int(rng.integers(0, 3)))
-                    for ex in batch
-                ]
+                keys = np.array([int(rng.integers(0, 3)) for _ in range(size)])
             cfg = clipping.ClipConfig(clip_norm=0.8, level=level)
-            full = clipping.clipped_grad_sum(m, p, batch, cfg)
+            full = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
             if level == "example":
-                neighbors = [batch[:i] + batch[i + 1 :] for i in range(size)]
+                neighbors = [np.arange(size) != i for i in range(size)]
             else:
-                groups = {ex.group_key for ex in batch}
-                neighbors = [
-                    [ex for ex in batch if ex.group_key != g] for g in groups
-                ]
-            for reduced in neighbors:
-                sub = clipping.clipped_grad_sum(m, p, reduced, cfg)
+                neighbors = [keys != g for g in set(keys.tolist())]
+            for keep in neighbors:
+                sub = clipping.clipped_grad_sum(
+                    m, p, features[keep], labels[keep], cfg,
+                    group_keys=None if keys is None else keys[keep],
+                )
                 delta = np.linalg.norm(full.sum.values - sub.sum.values)
                 assert delta <= cfg.clip_norm + 1e-12
 
 
-def test_peak_live_gradients_bounded_by_microbatch(rng):
+def test_peak_live_gradients_bounded_by_microbatch(rng, monkeypatch):
     m = models.Model(kind="logistic", input_dim=5)
     p = models.init_params(m, prng.seed(0))
-    batch = random_batch(rng, 5, 23)
+    features, labels = random_batch(rng, 5, 23)
+    live = []
+
+    def spy(model, params, features, labels):
+        live.append(features.shape[0])
+        return models.batch_grads(model, params, features, labels)
+
+    monkeypatch.setattr(clipping, "batch_grads", spy)
     for size in (1, 4, 7, None):
+        live.clear()
         cfg = clipping.ClipConfig(clip_norm=1.0, microbatch_size=size)
-        _, info = clipping.clipped_grad_sum_debug(m, p, batch, cfg)
-        assert info.peak_live_grads <= (size if size is not None else 23)
+        clipping.clipped_grad_sum(m, p, features, labels, cfg)
+        assert sum(live) == 23
+        assert max(live) <= (size if size is not None else 23)
 
 
 def test_clip_config_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from dpcore import models, prng
 
-from conftest import finite_difference_grad, random_example, random_model
+from conftest import finite_difference_grad, random_batch, random_example, random_model
 
 
 def test_logistic_layout_and_zero_biases():
@@ -46,22 +46,22 @@ def test_logistic_loss_at_origin_is_log2():
     m = models.Model(kind="logistic", input_dim=2)
     p = models.GradientVector.zeros(m.layout())
     for y in (0.0, 1.0):
-        ex = models.Example(np.array([3.0, -1.0]), y)
-        assert models.per_example_loss(m, p, ex) == pytest.approx(math.log(2), rel=1e-12)
+        loss = models.batch_losses(m, p, np.array([[3.0, -1.0]]), np.array([y]))[0]
+        assert loss == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_linear_loss_at_origin():
     m = models.Model(kind="linear", input_dim=2)
     p = models.GradientVector.zeros(m.layout())
-    ex = models.Example(np.array([1.0, 1.0]), 2.0)
-    assert models.per_example_loss(m, p, ex) == pytest.approx(2.0, rel=1e-12)
+    loss = models.batch_losses(m, p, np.array([[1.0, 1.0]]), np.array([2.0]))[0]
+    assert loss == pytest.approx(2.0, rel=1e-12)
 
 
 def test_mlp_loss_nonnegative_finite(rng):
     m = models.Model(kind="mlp", input_dim=5, hidden_dim=4, activation="tanh")
     p = models.init_params(m, prng.seed(3))
     for _ in range(20):
-        loss = models.per_example_loss(m, p, random_example(rng, 5, True))
+        loss = models.batch_losses(m, p, *random_example(rng, 5, True))[0]
         assert loss >= 0.0 and math.isfinite(loss)
 
 
@@ -70,7 +70,9 @@ def test_logistic_grad_closed_form_at_origin():
     p = models.GradientVector.zeros(m.layout())
     x = np.array([0.5, -2.0, 1.5])
     for y in (0.0, 1.0):
-        g = models.per_example_grad(m, p, models.Example(x, y))
+        g = models.GradientVector(
+            models.batch_grads(m, p, x[np.newaxis, :], np.array([y]))[0], p.layout
+        )
         np.testing.assert_allclose(g.segment("w"), (0.5 - y) * x, rtol=1e-12)
         np.testing.assert_allclose(g.segment("b"), [0.5 - y], rtol=1e-12)
 
@@ -80,47 +82,38 @@ def test_gradients_match_finite_differences(rng):
     for _ in range(100):
         m = random_model(rng)
         p = models.init_params(m, prng.seed(int(rng.integers(0, 2**31))))
-        ex = random_example(rng, m.input_dim, classification=True)
-        g = models.per_example_grad(m, p, ex)
-        fd = finite_difference_grad(m, p, ex)
+        x, y = random_example(rng, m.input_dim, classification=True)
+        g = models.batch_grads(m, p, x, y)[0]
+        fd = finite_difference_grad(m, p, x, y)
         denom = np.maximum(np.abs(fd), 1e-8)
-        assert np.max(np.abs(g.values - fd) / denom) < 1e-4
-
-
-def test_dummy_example_zero_gradient():
-    m = models.Model(kind="logistic", input_dim=3)
-    p = models.init_params(m, prng.seed(0))
-    dummy = models.Example(np.array([1.0, 2.0, 3.0]), 1.0, is_dummy=True)
-    assert np.array_equal(models.per_example_grad(m, p, dummy).values, np.zeros(4))
-    assert models.per_example_loss(m, p, dummy) == 0.0
+        assert np.max(np.abs(g - fd) / denom) < 1e-4
 
 
 def test_grad_layout_matches_params(rng):
     for _ in range(10):
         m = random_model(rng)
         p = models.init_params(m, prng.seed(7))
-        ex = random_example(rng, m.input_dim, True)
-        assert models.per_example_grad(m, p, ex).layout == p.layout
+        grads = models.batch_grads(m, p, *random_example(rng, m.input_dim, True))
+        assert grads.shape == (1, p.layout.total_length)
 
 
 def test_dimension_mismatch_rejected():
     m = models.Model(kind="linear", input_dim=3)
     p = models.init_params(m, prng.seed(0))
     with pytest.raises(ValueError):
-        models.per_example_loss(m, p, models.Example(np.zeros(4), 0.0))
+        models.batch_losses(m, p, np.zeros((1, 4)), np.zeros(1))
     with pytest.raises(ValueError):
-        models.per_example_grad(m, p, models.Example(np.zeros(2), 0.0))
+        models.batch_grads(m, p, np.zeros((1, 2)), np.zeros(1))
 
 
 def test_batch_grads_match_single(rng):
     m = models.Model(kind="mlp", input_dim=4, hidden_dim=3, loss="mse")
     p = models.init_params(m, prng.seed(11))
-    exs = [random_example(rng, 4, False) for _ in range(6)]
-    rows = models.batch_grads(
-        m, p, np.stack([e.features for e in exs]), np.array([e.label for e in exs])
-    )
-    for ex, row in zip(exs, rows):
-        assert np.array_equal(row, models.per_example_grad(m, p, ex).values)
+    features, labels = random_batch(rng, 4, 6, classification=False)
+    rows = models.batch_grads(m, p, features, labels)
+    for i, row in enumerate(rows):
+        single = models.batch_grads(m, p, features[i : i + 1], labels[i : i + 1])
+        assert np.array_equal(row, single[0])
 
 
 def test_gradient_vector_arithmetic_layout_checked():

@@ -368,6 +368,21 @@ def test_cli_train_rejects_mf_opt_step_size(tmp_path, capsys):
     assert "opt_step_size" in capsys.readouterr().err
 
 
+def test_cli_train_rejects_mf_bands_above_steps(tmp_path, capsys):
+    raw = _long_banded_mf_dict()
+    raw["steps"] = 3  # default mf.bands is 4
+    code = cli.main(["train", "--config", _write_cfg(tmp_path, raw)])
+    assert code == 2
+    assert "mf.bands" in capsys.readouterr().err
+
+
+def test_cli_train_rejects_mf_opt_iters_below_one(tmp_path, capsys):
+    raw = _long_banded_mf_dict(mf={"opt_iters": 0})
+    code = cli.main(["train", "--config", _write_cfg(tmp_path, raw)])
+    assert code == 2
+    assert "mf.opt_iters" in capsys.readouterr().err
+
+
 def test_cli_calibrate_unreachable_target(tmp_path, capsys):
     raw = _cfg_dict(privacy={"target_epsilon": 1e-9, "delta": 1e-5},
                     batch={"strategy": "poisson", "sampling_prob": 1.0},

@@ -2,12 +2,24 @@
 
 The central operation, :func:`clipped_grad_sum`, takes a batch as gathered
 arrays (features, labels, optional group keys) plus an optional validity
-mask for padded slots. It partitions the batch into microbatches, computes
-per-example gradients of the real rows within each, clips per example (or
-per group, after in-group summation), and accumulates contributions in
-batch order. The microbatch size trades peak memory for vectorization and
-never changes the result: accumulation order is fixed, so outputs are
-bit-identical across microbatch sizes.
+mask for padded slots, and sums the clipped per-unit gradients of its real
+rows.
+
+Example-level clipping never materializes per-example gradients. Every
+layer's per-example gradient is an outer product ``[a, 1] ⊗ g`` of factors
+from :func:`models.layer_factors`, and the L2, L1 and L∞ norms of an outer
+product are products of the factors' norms (Goodfellow 2015,
+arXiv:1510.01799). So each row's norm and clip factor f come from the
+factors, and the clipped sum is one whole-batch reduction per layer,
+``aᵀ(f⊙g)`` for the weights and ``Σ f⊙g`` for the bias (the book-keeping of
+Bu et al. 2022, arXiv:2210.00038). Memory is O(B·(d+h)) rather than O(B·P),
+and the result does not depend on the microbatch size. The non-private
+baseline, :func:`grad_sum`, is the same reduction with f = 1.
+
+Group-level clipping sums gradients within a group before clipping, so it
+materializes them (:func:`models.batch_grads`) one microbatch at a time and
+accumulates in batch order; the microbatch size bounds the live rows and
+never changes the result.
 
 The returned sum carries its sensitivity (the clip norm, under add/remove
 adjacency of one example or one group) so noise calibration downstream can
@@ -21,12 +33,13 @@ unaffected and training proceeds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional
 
 import numpy as np
 
-from .models import GradientVector, Model, batch_grads, vector_norm
+from .models import GradientVector, Model, batch_grads, layer_factors, vector_norm
 
 FULL_BATCH = None  # microbatch_size sentinel: one microbatch spanning the batch
 
@@ -42,8 +55,10 @@ class ClipConfig:
       geometry: Norm under which to clip: "l2", "l1", or "linf".
       level: "example" clips each example's gradient; "group" sums gradients
         within each group key first and clips the group sums.
-      microbatch_size: Number of examples whose gradients are materialized at
-        once; None means the full batch.
+      microbatch_size: At group level, the number of examples whose gradients
+        are materialized at once; None means the full batch. Example-level
+        clipping materializes no per-example gradients, so there it has no
+        effect.
     """
 
     clip_norm: float
@@ -92,12 +107,68 @@ def clip(g: GradientVector, clip_norm: float, geometry: str = "l2") -> GradientV
     return GradientVector(g.values * (clip_norm / norm), g.layout)
 
 
-def _row_norms(rows: np.ndarray, geometry: str) -> np.ndarray:
-    if geometry == "l2":
-        return np.sqrt(np.einsum("bp,bp->b", rows, rows, optimize=False))
-    if geometry == "l1":
-        return np.sum(np.abs(rows), axis=1)
-    return np.max(np.abs(rows), axis=1)
+def _factored_norms(factors, geometry: str):
+    """Each row's gradient norm, and whether its gradient is finite, from the factors.
+
+    A layer's norm is max|ã|·max|g| (its L∞ norm, with ã = [a, 1]) times the
+    norm of the factors scaled by those maxima, which for a nonzero g lies
+    in [1, √((k+1)o)] for L2 and [1, (k+1)o] for L1. Scaling before squaring
+    keeps every intermediate finite where the gradient's entries are: a huge
+    input paired with a zero output gradient (a saturated tanh unit) has
+    norm 0, not ∞·0 = NaN. An entry aᵢgⱼ of the materialized gradient overflows exactly
+    when max|ã|·max|g| does, and a non-finite factor entry always reaches
+    one, so a row is finite exactly when every layer's max|ã|·max|g| is.
+    """
+    finite = None
+    layer_norms = []
+    for a, g in factors:
+        a_max = np.abs(a).max(axis=1, initial=1.0)
+        g_max = np.abs(g).max(axis=1, initial=0.0)
+        peak = a_max * g_max
+        finite = np.isfinite(peak) if finite is None else finite & np.isfinite(peak)
+        if geometry == "linf":
+            layer_norms.append(peak)
+            continue
+        a_scaled = a / a_max[:, np.newaxis]
+        if geometry == "l2":
+            a_sq = np.einsum("bk,bk->b", a_scaled, a_scaled, optimize=False)
+            norm = np.sqrt(a_sq + a_max**-2)
+        else:
+            norm = np.abs(a_scaled).sum(axis=1) + 1.0 / a_max
+        if g.shape[1] > 1:  # a single output's g/max|g| is ±1, or its peak is 0
+            g_scaled = g / np.where(g_max > 0.0, g_max, 1.0)[:, np.newaxis]
+            if geometry == "l2":
+                norm *= np.sqrt(np.einsum("bo,bo->b", g_scaled, g_scaled, optimize=False))
+            else:
+                norm *= np.abs(g_scaled).sum(axis=1)
+        layer_norms.append(peak * norm)
+    combine = {"l2": np.hypot, "l1": np.add, "linf": np.maximum}[geometry]
+    return functools.reduce(combine, layer_norms), finite
+
+
+def _weighted_sum(factors, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Σ_b w_b [a_b, 1] ⊗ g_b in layout order: aᵀ(w⊙g), then Σ w⊙g, per layer.
+
+    These are whole-batch reductions (BLAS for aᵀ(w⊙g)), so their order
+    differs from a row-by-row sum in the last bits. weights None means 1.
+    """
+    parts = []
+    for a, g in factors:
+        wg = g if weights is None else g * weights[:, np.newaxis]
+        parts.append((a.T @ wg).ravel())
+        parts.append(wg.sum(axis=0))
+    return np.concatenate(parts)
+
+
+def grad_sum(
+    model: Model, params: GradientVector, features: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Unclipped sum of the per-example gradients of every row.
+
+    Nothing is dropped: a non-finite gradient makes the sum non-finite.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _weighted_sum(layer_factors(model, params, features, labels))
 
 
 def _microbatch_bounds(n: int, microbatch_size: Optional[int]):
@@ -122,7 +193,8 @@ def clipped_grad_sum(
     nothing. Any unit (example, or group sum at group level) whose gradient
     has a non-finite component is replaced by zero and counted in
     dropped_nonfinite_count. The result is independent of
-    cfg.microbatch_size.
+    cfg.microbatch_size, which matters only at group level (see the module
+    docstring).
 
     Args:
       model: The model whose per-example gradients are aggregated.
@@ -143,41 +215,48 @@ def clipped_grad_sum(
     if cfg.level == "group" and group_keys is None:
         raise ValueError("group-level clipping requires group keys")
     layout = params.layout
+    if cfg.level == "example":
+        if mask is not None:
+            real = np.flatnonzero(mask)
+            features, labels = features[real], labels[real]
+        if features.shape[0] == 0:
+            return ClippedGradientSum(GradientVector.zeros(layout), cfg.clip_norm, 0, 0)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            factors = layer_factors(model, params, features, labels)
+            norms, finite = _factored_norms(factors, cfg.geometry)
+            kept = int(np.count_nonzero(finite))
+            if kept < finite.size:
+                # Dropped rows are left out, not weighted by 0: 0·inf = NaN.
+                factors = [(a[finite], g[finite]) for a, g in factors]
+                norms = norms[finite]
+            # Exactly 1.0 inside the ball, so in-ball rows enter unscaled.
+            weights = np.minimum(1.0, cfg.clip_norm / norms)
+            total = _weighted_sum(factors, weights)
+        return ClippedGradientSum(
+            sum=GradientVector(total, layout),
+            sensitivity=cfg.clip_norm,
+            contributing_count=kept,
+            dropped_nonfinite_count=finite.size - kept,
+        )
+
     total = np.zeros(layout.total_length, dtype=np.float64)
     contributing = 0
     dropped = 0
     # group_key -> accumulated in-group gradient; insertion order is the
     # order of first occurrence in the batch, which fixes accumulation order.
     group_sums: dict[int, np.ndarray] = {}
-
     for lo, hi in _microbatch_bounds(n, cfg.microbatch_size):
         real = slice(lo, hi) if mask is None else lo + np.flatnonzero(mask[lo:hi])
         chunk = features[real]
         if chunk.shape[0] == 0:
             continue
         rows = batch_grads(model, params, chunk, labels[real])
-        if cfg.level == "example":
-            # Norms, factors, and scaling are row-local, so vectorizing them
-            # cannot change any row's bits; only the accumulation below must
-            # stay sequential (fixed order across microbatch sizes). A factor
-            # of exactly 1.0 leaves in-ball rows bit-identical.
-            finite = np.isfinite(rows).all(axis=1)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                norms = _row_norms(rows, cfg.geometry)
-                factors = np.where(norms <= cfg.clip_norm, 1.0, cfg.clip_norm / norms)
-                clipped_rows = rows * factors[:, np.newaxis]
-            kept = np.flatnonzero(finite)
-            for i in kept:
-                total += clipped_rows[i]
-            contributing += kept.size
-            dropped += rows.shape[0] - kept.size
-        else:
-            for key, row in zip(group_keys[real].tolist(), rows):
-                acc = group_sums.get(key)
-                if acc is None:
-                    group_sums[key] = row.copy()
-                else:
-                    acc += row
+        for key, row in zip(group_keys[real].tolist(), rows):
+            acc = group_sums.get(key)
+            if acc is None:
+                group_sums[key] = row.copy()
+            else:
+                acc += row
 
     for group_sum in group_sums.values():
         if not np.all(np.isfinite(group_sum)):

@@ -14,15 +14,25 @@ Examples travel as arrays, never as per-example objects: a batch is a
 :func:`batch_losses` return one row or entry per example. A single example
 is a batch of one row.
 
-Per-example gradient math deliberately avoids BLAS-backed reductions
-(``np.einsum`` with its default fixed-order C loops) so that a given
-example's gradient is bit-identical regardless of how the batch is sliced
-into microbatches.
+One backprop, :func:`layer_factors`, returns each layer's per-example
+gradient in factored form, (inputs, output grads), since an affine layer's
+gradient is their outer product. :func:`batch_grads` materializes those
+outer products; example-level clipping works on the factors directly.
+
+Row-local math (the forward pass, the backprop, the outer products) avoids
+BLAS-backed reductions (``np.einsum`` with its default fixed-order C loops)
+so that a given example's factors and gradient row are bit-identical
+regardless of how the batch is sliced into microbatches. Whole-batch
+reductions, such as the clipped sum's ``aᵀ(f⊙g)``, may use BLAS (``@``):
+their result depends on the whole batch anyway, and at B=200, d=20, h=128
+``x.T @ g`` took about 19 µs against 127 µs for the fixed-order einsum
+(one BLAS thread on a 2-vCPU x86-64 host).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
@@ -107,7 +117,15 @@ class GradientVector:
 
 def vector_norm(values: np.ndarray, geometry: str) -> float:
     if geometry == "l2":
-        return float(np.sqrt(np.einsum("i,i->", values, values, **_EINSUM_OPTS)))
+        squares = float(np.einsum("i,i->", values, values, **_EINSUM_OPTS))
+        if squares == math.inf:
+            # The squares overflowed; unless an entry is infinite, rescale by
+            # the largest magnitude so that a finite norm stays finite.
+            peak = float(np.max(np.abs(values)))
+            if math.isfinite(peak):
+                scaled = values / peak
+                return peak * math.sqrt(np.einsum("i,i->", scaled, scaled, **_EINSUM_OPTS))
+        return math.sqrt(squares)
     if geometry == "l1":
         return float(np.sum(np.abs(values)))
     if geometry == "linf":
@@ -261,22 +279,30 @@ def _mlp_forward(model: Model, params: GradientVector, features: np.ndarray):
     return z, pre, act
 
 
-def batch_grads(
+def layer_factors(
     model: Model, params: GradientVector, features: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Per-example gradients, one row per example, shape (B, P).
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-example gradients in factored form: one (inputs, output grads) pair per layer.
 
-    The returned rows are a pure per-example function of (params, example):
-    slicing the batch differently yields bit-identical rows.
+    Every layer is affine, so an example's gradient for the layer's weight
+    and bias segments is the outer product ``[a, 1] ⊗ g`` of its input row
+    ``a`` (k entries) and its output-gradient row ``g`` (o entries),
+    flattened row-major: the k*o weight entries, then the o bias entries.
+    Layers come in layout order, each as (a (B, k), g (B, o)):
+
+      linear, logistic: (x, dz) for (w, b)
+      mlp:              (x, d_pre) for (w1, b1), then (act, dz) for (w2, b2)
+
+    This is the one backprop of the module; :func:`batch_grads` materializes
+    its outer products.
     """
     if features.shape[1] != model.input_dim:
         raise ValueError("feature dimension mismatch")
     with np.errstate(invalid="ignore", over="ignore"):
-        return _batch_grads_impl(model, params, features, labels)
+        return _layer_factors_impl(model, params, features, labels)
 
 
-def _batch_grads_impl(model, params, features, labels):
-    n = features.shape[0]
+def _layer_factors_impl(model, params, features, labels):
     if model.kind in (LINEAR, LOGISTIC):
         z = np.einsum("bd,d->b", features, params.segment("w"), **_EINSUM_OPTS)
         z = z + params.segment("b")[0]
@@ -284,29 +310,40 @@ def _batch_grads_impl(model, params, features, labels):
             dz = z - labels
         else:
             dz = _sigmoid(z) - labels
-        grads = np.empty((n, params.layout.total_length), dtype=np.float64)
-        grads[:, params.layout.slice_of("w")] = dz[:, np.newaxis] * features
-        grads[:, params.layout.slice_of("b")] = dz[:, np.newaxis]
-        return grads
-    # mlp backprop
-    d, h = model.input_dim, model.hidden_dim
+        return ((features, dz[:, np.newaxis]),)
     z, pre, act = _mlp_forward(model, params, features)
     if model.loss == "log":
         dz = _sigmoid(z) - labels
     else:
         dz = z - labels
-    w2 = params.segment("w2")
-    d_act = dz[:, np.newaxis] * w2[np.newaxis, :]
+    d_act = dz[:, np.newaxis] * params.segment("w2")[np.newaxis, :]
     if model.activation == "relu":
         d_pre = d_act * (pre > 0.0)
     else:
         d_pre = d_act * (1.0 - np.tanh(pre) ** 2)
+    return ((features, d_pre), (act, dz[:, np.newaxis]))
+
+
+def batch_grads(
+    model: Model, params: GradientVector, features: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Per-example gradients, one row per example, shape (B, P).
+
+    Each row is the concatenation of the layer outer products ``[a, 1] ⊗ g``
+    of :func:`layer_factors`. The rows are a pure per-example function of
+    (params, example): slicing the batch differently yields bit-identical
+    rows.
+    """
+    n = features.shape[0]
     grads = np.empty((n, params.layout.total_length), dtype=np.float64)
-    gw1 = np.einsum("bd,bh->bdh", features, d_pre, **_EINSUM_OPTS)
-    grads[:, params.layout.slice_of("w1")] = gw1.reshape(n, d * h)
-    grads[:, params.layout.slice_of("b1")] = d_pre
-    grads[:, params.layout.slice_of("w2")] = dz[:, np.newaxis] * act
-    grads[:, params.layout.slice_of("b2")] = dz[:, np.newaxis]
+    offset = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a, g in layer_factors(model, params, features, labels):
+            k, o = a.shape[1], g.shape[1]
+            outer = np.einsum("bk,bo->bko", a, g, **_EINSUM_OPTS)
+            grads[:, offset : offset + k * o] = outer.reshape(n, k * o)
+            grads[:, offset + k * o : offset + (k + 1) * o] = g
+            offset += (k + 1) * o
     return grads
 
 

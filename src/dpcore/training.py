@@ -6,11 +6,13 @@ One training step is the fixed composition
     normalize by the expected batch size -> optimizer update -> apply,
 
 with the non-private baseline (mechanism "none") replacing the clipped sum
-and privatize stages by a plain per-example gradient sum. It is written
-once, in :func:`train_step`, which the training loop and the benchmark
-cells both call. Everything stochastic flows from the run seed through
-explicit PRNG keys, so a report is a pure function of its config (timing
-fields aside).
+and privatize stages by the unclipped gradient sum
+(:func:`clipping.grad_sum`, the same per-layer reduction with every clip
+factor 1). Neither sum materializes per-example gradients, except under
+group-level clipping. The step is written once, in :func:`train_step`,
+which the training loop and the benchmark cells both call. Everything
+stochastic flows from the run seed through explicit PRNG keys, so a report
+is a pure function of its config (timing fields aside).
 
 Config and policy validation happens before the first step: a configuration
 whose accounting would be invalid (for example amplified accounting on
@@ -35,12 +37,11 @@ from typing import Optional
 import numpy as np
 
 from . import accounting, batch_selection, matrix_factorization, prng
-from .clipping import ClipConfig, clipped_grad_sum
+from .clipping import ClipConfig, clipped_grad_sum, grad_sum
 from .models import (
     Dataset,
     GradientVector,
     Model,
-    batch_grads,
     dataset_mean_loss,
     init_params,
 )
@@ -412,6 +413,12 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
         f"model input_dim {model.input_dim} does not match dataset "
         f"feature dim {dataset.feature_dim}",
     )
+    if cfg.batch.strategy == batch_selection.SHUFFLED_FIXED:
+        _require(
+            cfg.batch.batch_size <= dataset.size,
+            f"shuffled-fixed batch_size {cfg.batch.batch_size} exceeds the dataset "
+            f"size {dataset.size}",
+        )
     root = prng.seed(cfg.seed)
     init_key, batch_key, noise_key = (prng.fold_in(root, i) for i in (1, 2, 3))
 
@@ -506,8 +513,8 @@ def train_step(model, dataset, batch_idx, params, opt_state, priv_state, *,
     """One training step on the rows ``batch_idx`` of ``dataset``.
 
     Gathers the rows, sums their clipped gradients and privatizes the sum
-    (or, when ``priv`` is None, the non-private baseline, sums the raw
-    per-example gradients), divides by ``denom``, and applies the optimizer
+    (or, when ``priv`` is None, the non-private baseline, sums their
+    unclipped gradients), divides by ``denom``, and applies the optimizer
     update. ``opt_state`` None starts a fresh optimizer.
 
     Returns:
@@ -518,7 +525,7 @@ def train_step(model, dataset, batch_idx, params, opt_state, priv_state, *,
     labels = dataset.labels[batch_idx]
     if priv is None:
         csum = None
-        grad = GradientVector(_raw_grad_sum(model, params, features, labels), params.layout)
+        grad = GradientVector(grad_sum(model, params, features, labels), params.layout)
     else:
         group_keys = None if dataset.group_keys is None else dataset.group_keys[batch_idx]
         csum = clipped_grad_sum(model, params, features, labels, clip, group_keys=group_keys)
@@ -533,14 +540,6 @@ def train_step(model, dataset, batch_idx, params, opt_state, priv_state, *,
             grad, opt_state or adamw_init(params.layout), params,
         )
     return params + update, opt_state, priv_state, csum
-
-
-def _raw_grad_sum(model, params, features, labels) -> np.ndarray:
-    """Unclipped per-example gradient sum, accumulated in batch order."""
-    total = np.zeros(params.layout.total_length, dtype=np.float64)
-    for row in batch_grads(model, params, features, labels):
-        total += row
-    return total
 
 
 def train(cfg: RunConfig) -> TrainOutcome:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -245,9 +247,13 @@ def test_sensitivity_oracle_add_remove(rng):
 
 
 def test_peak_live_gradients_bounded_by_microbatch(rng, monkeypatch):
+    # Example level clips from the layer factors and never materializes
+    # per-example gradients; group level materializes at most one microbatch
+    # of rows at a time, and every row once.
     m = models.Model(kind="logistic", input_dim=5)
     p = models.init_params(m, prng.seed(0))
     features, labels = random_batch(rng, 5, 23)
+    keys = np.arange(23) % 4
     live = []
 
     def spy(model, params, features, labels):
@@ -259,8 +265,77 @@ def test_peak_live_gradients_bounded_by_microbatch(rng, monkeypatch):
         live.clear()
         cfg = clipping.ClipConfig(clip_norm=1.0, microbatch_size=size)
         clipping.clipped_grad_sum(m, p, features, labels, cfg)
+        assert live == []
+        cfg = clipping.ClipConfig(clip_norm=1.0, level="group", microbatch_size=size)
+        clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
         assert sum(live) == 23
         assert max(live) <= (size if size is not None else 23)
+
+
+_FUZZ_MODELS = (
+    models.Model(kind="linear", input_dim=3),
+    models.Model(kind="logistic", input_dim=4),
+    models.Model(kind="mlp", input_dim=3, hidden_dim=5, activation="tanh", loss="log"),
+    models.Model(kind="mlp", input_dim=3, hidden_dim=5, activation="tanh", loss="mse"),
+    models.Model(kind="mlp", input_dim=3, hidden_dim=5, activation="relu", loss="log"),
+    models.Model(kind="mlp", input_dim=3, hidden_dim=5, activation="relu", loss="mse"),
+)
+# 1.5e308 makes some finite rows' norms overflow: such a row still counts as
+# contributing, with a clip factor of C/inf = 0.
+_EXTREMES = (np.nan, np.inf, -np.inf, 1e160, -1e160, 1e300, -1e300, 1.5e308)
+
+
+@pytest.mark.parametrize("geometry", ["l2", "l1", "linf"])
+@pytest.mark.parametrize("model", _FUZZ_MODELS, ids=lambda m: f"{m.kind}-{m.activation}-{m.loss}")
+def test_factored_clipping_matches_materialized_oracle(model, geometry):
+    # The oracle clips materialized rows: group level with one key per row.
+    # Rows hold NaN, inf or huge features, where a naive factored norm
+    # evaluates inf*0 = NaN or overflows while the gradient itself is finite.
+    rng = np.random.default_rng(["l2", "l1", "linf"].index(geometry))
+    outcomes = set()
+    for trial in range(40):
+        size = trial % 9
+        p = models.init_params(model, prng.seed(trial))
+        features, labels = random_batch(rng, model.input_dim, size, model.loss == "log")
+        for i in range(size):
+            if rng.random() < 0.5:
+                features[i, rng.integers(model.input_dim)] = rng.choice(_EXTREMES)
+        clip_norm = float(rng.choice([0.05, 0.7, 5.0]))
+        cfg = clipping.ClipConfig(clip_norm=clip_norm, geometry=geometry)
+        got = clipping.clipped_grad_sum(model, p, features, labels, cfg)
+        with np.errstate(over="ignore"):  # an L1 norm above the float range is inf
+            want = clipping.clipped_grad_sum(
+                model, p, features, labels, dataclasses.replace(cfg, level="group"),
+                group_keys=np.arange(size),
+            )
+        assert got.contributing_count == want.contributing_count
+        assert got.dropped_nonfinite_count == want.dropped_nonfinite_count
+        assert np.all(np.isfinite(got.sum.values))
+        scale = max(np.max(np.abs(want.sum.values), initial=0.0), clip_norm)
+        assert np.max(np.abs(got.sum.values - want.sum.values), initial=0.0) <= 1e-12 * scale
+        outcomes.add((got.dropped_nonfinite_count > 0, got.contributing_count > 0))
+    assert outcomes >= {(True, True), (False, True)}
+
+
+def test_l2_norm_of_finite_vector_with_overflowing_squares():
+    values = np.array([3e200, -4e200])
+    assert models.vector_norm(values, "l2") == pytest.approx(5e200, rel=1e-15)
+    assert models.vector_norm(np.array([np.inf, 1.0]), "l2") == np.inf
+    clipped = clipping.clip(_vec(values), 1.0)
+    np.testing.assert_allclose(clipped.values, [0.6, -0.8], rtol=1e-15)
+
+
+def test_grad_sum_is_the_unclipped_row_sum(rng):
+    for model in _FUZZ_MODELS:
+        p = models.init_params(model, prng.seed(1))
+        features, labels = random_batch(rng, model.input_dim, 7, model.loss == "log")
+        rows = models.batch_grads(model, p, features, labels)
+        np.testing.assert_allclose(
+            clipping.grad_sum(model, p, features, labels), rows.sum(axis=0),
+            rtol=1e-12, atol=1e-14,
+        )
+        features[3, 0] = np.nan
+        assert np.isnan(clipping.grad_sum(model, p, features, labels)).any()
 
 
 def test_clip_config_validation():

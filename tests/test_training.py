@@ -333,6 +333,16 @@ def test_cli_policy_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_train_rejects_shuffled_batch_above_dataset_size(tmp_path, capsys):
+    raw = _cfg_dict(mechanism="none", batch={"strategy": "shuffled-fixed", "batch_size": 100})
+    raw.pop("privacy")
+    raw.pop("clip")
+    raw["dataset"] = {**raw["dataset"], "n": 50}
+    code = cli.main(["train", "--config", _write_cfg(tmp_path, raw)])
+    assert code == 2
+    assert "batch_size 100 exceeds the dataset size 50" in capsys.readouterr().err
+
+
 def test_cli_calibrate_and_sigma_from_round_trip(tmp_path, capsys):
     raw = _cfg_dict(privacy={"target_epsilon": 8.0, "delta": 1e-5}, steps=50)
     cfg_path = _write_cfg(tmp_path, raw)

@@ -127,7 +127,8 @@ def vector_norm(values: np.ndarray, geometry: str) -> float:
                 return peak * math.sqrt(np.einsum("i,i->", scaled, scaled, **_EINSUM_OPTS))
         return math.sqrt(squares)
     if geometry == "l1":
-        return float(np.sum(np.abs(values)))
+        with np.errstate(over="ignore"):  # a sum above the float range is inf
+            return float(np.sum(np.abs(values)))
     if geometry == "linf":
         return float(np.max(np.abs(values))) if values.size else 0.0
     raise ValueError(f"unknown geometry {geometry!r}")
@@ -221,13 +222,10 @@ def init_params(model: Model, key: prng.PrngKey) -> GradientVector:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # expit, written out to keep the dependency surface of this module tiny.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # expit, written out to keep the dependency surface of this module tiny:
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without branches.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:

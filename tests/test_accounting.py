@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
 from dpcore import accounting, matrix_factorization as mf
@@ -64,16 +65,79 @@ def test_subsampled_rdp_matches_extended_precision():
         assert abs(v - ref) / ref < 1e-6
 
 
+def mpmath_rdp_by_ratio(q, sigma, alpha):
+    """The same binomial sum, each term built from the previous one.
+
+    term(k+1) / term(k) = (alpha-k)/(k+1) * q/(1-q) * exp(k / sigma^2); at 60
+    digits it rounds to the same float as :func:`mpmath_rdp`, ten times faster.
+    """
+    with mpmath.workdps(60):
+        q, sigma = mpmath.mpf(q), mpmath.mpf(sigma)
+        odds, step = q / (1 - q), mpmath.exp(1 / sigma**2)
+        term = (1 - q) ** alpha
+        total, growth = term, mpmath.mpf(1)
+        for k in range(alpha):
+            term *= (alpha - k) * odds * growth / (k + 1)
+            growth *= step
+            total += term
+        return float(mpmath.log(total) / (alpha - 1))
+
+
+# Largest relative error over orders (2, 8, 32, 202, 512) against
+# mpmath_rdp_by_ratio, as measured for the logsumexp-based evaluation this
+# module had before its hand-written reduction, rounded up to two digits.
+_RDP_REFERENCE_ERROR = {
+    (1e-4, 0.6): 2.2e-13, (1e-4, 1.0): 1.6e-12, (1e-4, 10.0): 1.0e-9, (1e-4, 100.0): 1.1e-7,
+    (0.005, 0.6): 3.2e-14, (0.005, 1.0): 2.9e-13, (0.005, 10.0): 4.0e-11, (0.005, 100.0): 4.2e-9,
+    (0.1, 0.6): 6.0e-16, (0.1, 1.0): 2.3e-15, (0.1, 10.0): 4.4e-13, (0.1, 100.0): 3.7e-11,
+    (0.5, 0.6): 1.8e-16, (0.5, 1.0): 0.0, (0.5, 10.0): 6.5e-14, (0.5, 100.0): 2.0e-12,
+}
+
+
+@pytest.mark.parametrize("q, sigma", sorted(_RDP_REFERENCE_ERROR))
+def test_rdp_within_reference_error_of_extended_precision(q, sigma):
+    # Small q and large sigma put nearly all of the sum in its k = 0 term;
+    # the reduction must keep the remainder as exactly as before.
+    orders = [2, 8, 32, 202, 512]
+    curve = accounting.rdp_subsampled_gaussian(q, sigma, orders)
+    for a, v in zip(orders, curve.values):
+        ref = mpmath_rdp_by_ratio(q, sigma, a)
+        assert abs(v - ref) <= _RDP_REFERENCE_ERROR[q, sigma] * ref, (a, v, ref)
+
+
+def test_rdp_reduction_matches_scipy_logsumexp():
+    # The hand-written max + log1p reduction gives scipy's logsumexp, which
+    # also sets the largest term apart and adds log1p of the rest, bit for
+    # bit on the same masked grid.
+    orders = list(range(2, 129))
+    a = np.array(orders, dtype=np.float64)[:, None]
+    k = np.arange(max(orders) + 1, dtype=np.float64)[None, :]
+    for q, sigma in ((1e-4, 100.0), (0.005, 0.8), (0.1, 1.0), (0.5, 10.0), (0.9, 0.6)):
+        with np.errstate(invalid="ignore"):
+            terms = (
+                scipy.special.gammaln(a + 1) - scipy.special.gammaln(k + 1)
+                - scipy.special.gammaln(a - k + 1)
+                + (a - k) * math.log1p(-q) + k * math.log(q) + k * (k - 1) / (2 * sigma**2)
+            )
+        want = scipy.special.logsumexp(np.where(k <= a, terms, -np.inf), axis=1) / (a[:, 0] - 1)
+        got = accounting.rdp_subsampled_gaussian(q, sigma, orders).values
+        assert got == tuple(float(v) for v in want)
+
+
 def test_log_binomial_grid_reuse_is_bit_identical():
-    # The grid is shared across (q, sigma) for the same orders; reusing it
-    # must give exactly the values of a fresh computation.
+    # The grids are shared across (q, sigma) for the same orders; reusing
+    # them must give exactly the values of a fresh computation.
     orders = list(range(2, 65))
     warm = [accounting.rdp_subsampled_gaussian(q, s, orders)
             for q, s in ((0.01, 1.0), (0.2, 0.6), (0.01, 1.0))]
-    accounting._log_binomial_grid.cache_clear()
+    accounting._binomial_grids.cache_clear()
     cold = accounting.rdp_subsampled_gaussian(0.01, 1.0, orders)
     assert warm[0] == cold and warm[2] == cold
-    assert not accounting._log_binomial_grid(tuple(orders)).flags.writeable
+    log_binom, a_minus_k = accounting._binomial_grids(tuple(orders))
+    assert not log_binom.flags.writeable and not a_minus_k.flags.writeable
+    above = np.triu_indices(len(orders), 3, log_binom.shape[1])  # the cells k > alpha
+    assert np.all(np.isneginf(log_binom[above]))
+    assert np.isfinite(log_binom).sum() == log_binom.size - above[0].size
 
 
 def test_compose():
@@ -287,3 +351,72 @@ def test_calibrate_mf_noise_round_trip():
     sigma = accounting.calibrate_mf_noise(1.0, 1e-5)
     assert accounting.analytic_gaussian_epsilon(sigma, 1e-5) <= 1.0
     assert accounting.analytic_gaussian_epsilon(sigma, 1e-5) >= 1.0 * (1 - 1e-3)
+
+
+def test_analytic_delta_matches_scipy_stats_form():
+    # scipy.special's ndtr and log_ndtr are what scipy.stats.norm calls.
+    for eps in (0.0, 1e-9, 0.01, 0.5, 1.0, 2.0, 8.0, 30.0, 200.0):
+        for sigma in (0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0, 1e3):
+            a = 1.0 / (2.0 * sigma) - eps * sigma
+            b = -1.0 / (2.0 * sigma) - eps * sigma
+            want = float(scipy.stats.norm.cdf(a) - np.exp(eps + scipy.stats.norm.logcdf(b)))
+            assert accounting._analytic_delta(eps, sigma) == want
+
+
+def nested_mf_reference(target_epsilon, delta):
+    """Bisection on sigma around the inverted curve epsilon(sigma), 1e-6 relative."""
+    lo, hi = 1e-2, 1e3
+    if accounting.analytic_gaussian_epsilon(lo, delta) <= target_epsilon:
+        return lo
+    while hi / lo > 1.0 + 1e-6:
+        mid = math.sqrt(lo * hi)
+        if accounting.analytic_gaussian_epsilon(mid, delta) <= target_epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_calibrate_mf_noise_matches_nested_bisection():
+    # Testing delta(target, sigma) <= delta directly picks the same sigma as
+    # testing epsilon(sigma) <= target, and sigma is tight on its grid.
+    for target in (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
+        for delta in (1e-3, 1e-5, 1e-7):
+            sigma = accounting.calibrate_mf_noise(target, delta)
+            assert sigma == nested_mf_reference(target, delta)
+            assert accounting._analytic_delta(target, sigma) <= delta
+            assert accounting._analytic_delta(target, sigma / (1 + 1e-6)) > delta
+
+
+def test_calibrate_mf_noise_unreachable_target():
+    with pytest.raises(accounting.CalibrationRangeError):
+        accounting.calibrate_mf_noise(1e-9, 1e-5)
+    with pytest.raises(ValueError):
+        accounting.calibrate_mf_noise(0.0, 1e-5)
+
+
+def test_calibrate_noise_epsilon_call_sequence(monkeypatch):
+    # Bracket bottom, bracket top, then geometric midpoints; an unreachable
+    # target evaluates the bracket top once.
+    sigmas = []
+    real = accounting.epsilon
+
+    def recording(spec, orders):
+        sigmas.append(spec.noise_multiplier)
+        return real(spec, orders)
+
+    monkeypatch.setattr(accounting, "epsilon", recording)
+    sigma = accounting.calibrate_noise(2.0, 1e-5, 0.05, 200)
+    lo, hi = 1e-2, 1e3
+    want = [lo, hi]
+    while hi / lo > 1.0 + 1e-4:
+        want.append(math.sqrt(lo * hi))
+        if real(accounting.PrivacySpec(math.inf, 1e-5, want[-1], 0.05, 200)) <= 2.0:
+            hi = want[-1]
+        else:
+            lo = want[-1]
+    assert sigmas == want and sigma == hi
+    sigmas.clear()
+    with pytest.raises(accounting.CalibrationRangeError):
+        accounting.calibrate_noise(1e-9, 1e-5, 1.0, 10**5)
+    assert sigmas == [1e-2, 1e3]

@@ -133,3 +133,23 @@ def test_vector_norms():
     assert models.vector_norm(v, "linf") == pytest.approx(4.0)
     with pytest.raises(ValueError):
         models.vector_norm(v, "l0")
+
+
+@pytest.mark.filterwarnings("error")
+def test_l1_norm_above_float_range_is_inf_without_warning():
+    # The sum of magnitudes overflows although every entry is finite; the
+    # norm is inf (so the clip factor is 0) and no overflow warning escapes.
+    assert models.vector_norm(np.array([1.5e308, -1.5e308, 1.0]), "l1") == math.inf
+
+
+def test_sigmoid_matches_two_branch_expit():
+    # Branch-free, yet each element gets the same formula as a masked split:
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below.
+    rng = np.random.default_rng(0)
+    extremes = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 1e308, -1e308]
+    z = np.concatenate([rng.normal(0.0, 30.0, 100_000), extremes])
+    pos = z >= 0
+    want = np.empty_like(z)
+    want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    want[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+    np.testing.assert_array_equal(models._sigmoid(z), want)

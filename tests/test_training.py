@@ -249,8 +249,12 @@ def test_benchmark_sweep_and_ratio():
 
 def test_benchmark_steady_state_stability():
     # Doubling the measured steps should barely move the reported throughput:
-    # there is no systematic warmup drift left after the warmup phase. Shared
-    # CPU makes single timings jitter a few percent, so compare medians of 3.
+    # there is no systematic warmup drift left after the warmup phase. On a
+    # shared CPU, load from other processes comes and goes in phases of a
+    # few hundred ms that can double the step time, longer than a whole
+    # 250-step window (~0.1 s). So the two window lengths run back to back
+    # in 17 pairs, and each length's throughput is pooled over all its
+    # windows (over 1 s at 250 steps).
     def cfg(steps):
         return training.config_from_dict({
             "model": {"kind": "mlp", "input_dim": 20, "hidden_dim": 64},
@@ -264,15 +268,13 @@ def test_benchmark_steady_state_stability():
             "seed": 0,
         })
 
-    def median_throughput(steps):
-        runs = [
-            training.run_benchmark(cfg(steps)).max_throughput["dpsgd"]
-            for _ in range(3)
-        ]
-        return sorted(runs)[1]
-
-    base = median_throughput(250)
-    doubled = median_throughput(500)
+    seconds = {250: 0.0, 500: 0.0}
+    for _ in range(17):
+        for steps in seconds:
+            throughput = training.run_benchmark(cfg(steps)).max_throughput["dpsgd"]
+            seconds[steps] += steps * 128 / throughput
+    base = 17 * 250 * 128 / seconds[250]
+    doubled = 17 * 500 * 128 / seconds[500]
     assert abs(base - doubled) / base < 0.10
 
 

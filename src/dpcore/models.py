@@ -32,6 +32,7 @@ their result depends on the whole batch anyway, and at B=200, d=20, h=128
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Optional
 
@@ -48,7 +49,7 @@ class Layout:
 
     segments: tuple[tuple[str, int, int], ...]
 
-    @property
+    @functools.cached_property
     def total_length(self) -> int:
         return sum(length for _, _, length in self.segments)
 

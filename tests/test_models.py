@@ -126,6 +126,15 @@ def test_gradient_vector_arithmetic_layout_checked():
     assert a.scale(2.0).norm() == pytest.approx(2 * math.sqrt(3))
 
 
+def test_layout_total_length_cached_outside_equality():
+    segments = (("w", 0, 3), ("b", 3, 1))
+    layout = models.Layout(segments)
+    assert layout.total_length == 4
+    fresh = models.Layout(segments)
+    assert layout == fresh and hash(layout) == hash(fresh) and repr(layout) == repr(fresh)
+    assert layout != models.Layout((("w", 0, 3), ("b", 3, 2)))
+
+
 def test_vector_norms():
     v = np.array([3.0, -4.0])
     assert models.vector_norm(v, "l2") == pytest.approx(5.0)

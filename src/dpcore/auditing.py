@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.stats
 
-from . import accounting, prng, training
+from . import prng, training
 from .models import Dataset, GradientVector, Model, batch_grads, batch_losses
 
 LABEL_FLIP = "label-flip"

@@ -1,9 +1,8 @@
 """Per-example and per-group gradient clipping with attached sensitivity.
 
 The central operation, :func:`clipped_grad_sum`, takes a batch as gathered
-arrays (features, labels, optional group keys) plus an optional validity
-mask for padded slots, and sums the clipped per-unit gradients of its real
-rows.
+arrays (features, labels, optional group keys) and sums the clipped
+per-unit gradients of its rows.
 
 Example-level clipping never materializes per-example gradients. Every
 layer's per-example gradient is an outer product ``[a, 1] ⊗ g`` of factors
@@ -185,13 +184,11 @@ def clipped_grad_sum(
     cfg: ClipConfig,
     *,
     group_keys: Optional[np.ndarray] = None,
-    mask: Optional[np.ndarray] = None,
 ) -> ClippedGradientSum:
     """Sums clipped per-unit gradients over a batch of gathered rows.
 
-    Masked-out rows (padding) are never differentiated and contribute
-    nothing. Any unit (example, or group sum at group level) whose gradient
-    has a non-finite component is replaced by zero and counted in
+    Any unit (example, or group sum at group level) whose gradient has a
+    non-finite component is replaced by zero and counted in
     dropped_nonfinite_count. The result is independent of
     cfg.microbatch_size, which matters only at group level (see the module
     docstring).
@@ -204,22 +201,18 @@ def clipped_grad_sum(
       cfg: Clip configuration.
       group_keys: (B,) integer group key per row; required for group-level
         clipping.
-      mask: (B,) bool, False for padding rows; None means every row is real.
 
     Returns:
       The clipped sum with sensitivity equal to cfg.clip_norm.
     """
     n = features.shape[0]
-    if labels.shape[0] != n or any(a is not None and len(a) != n for a in (group_keys, mask)):
-        raise ValueError("labels, group_keys and mask need one entry per feature row")
+    if labels.shape[0] != n or (group_keys is not None and len(group_keys) != n):
+        raise ValueError("labels and group_keys need one entry per feature row")
     if cfg.level == "group" and group_keys is None:
         raise ValueError("group-level clipping requires group keys")
     layout = params.layout
     if cfg.level == "example":
-        if mask is not None:
-            real = np.flatnonzero(mask)
-            features, labels = features[real], labels[real]
-        if features.shape[0] == 0:
+        if n == 0:
             return ClippedGradientSum(GradientVector.zeros(layout), cfg.clip_norm, 0, 0)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             factors = layer_factors(model, params, features, labels)
@@ -246,12 +239,8 @@ def clipped_grad_sum(
     # order of first occurrence in the batch, which fixes accumulation order.
     group_sums: dict[int, np.ndarray] = {}
     for lo, hi in _microbatch_bounds(n, cfg.microbatch_size):
-        real = slice(lo, hi) if mask is None else lo + np.flatnonzero(mask[lo:hi])
-        chunk = features[real]
-        if chunk.shape[0] == 0:
-            continue
-        rows = batch_grads(model, params, chunk, labels[real])
-        for key, row in zip(group_keys[real].tolist(), rows):
+        rows = batch_grads(model, params, features[lo:hi], labels[lo:hi])
+        for key, row in zip(group_keys[lo:hi].tolist(), rows):
             acc = group_sums.get(key)
             if acc is None:
                 group_sums[key] = row.copy()

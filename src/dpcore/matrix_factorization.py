@@ -64,17 +64,8 @@ def prefix_workload(n: int) -> Workload:
     return Workload(n, np.tril(np.ones((n, n))))
 
 
-def materialize(s: Strategy, n: int) -> np.ndarray:
-    """The n x n matrix of a strategy (first column c, shifted down each column)."""
-    if n < s.bands:
-        raise ValueError(f"n={n} is smaller than the strategy band count {s.bands}")
-    col = np.zeros(n)
-    col[: s.bands] = s.coefficients
-    return scipy.linalg.toeplitz(col, np.zeros(n))
-
-
 def sensitivity(s: Strategy, n: int) -> float:
-    """Maximum column L2 norm of the materialized strategy.
+    """Maximum column L2 norm of the n x n strategy matrix.
 
     For banded Toeplitz matrices with n >= bands every full column has the
     same norm, so this is simply the L2 norm of the coefficient vector.
@@ -137,32 +128,3 @@ def optimize_banded(w: Workload, bands: int, iters: int = 200) -> Strategy:
     if not result.fun < identity_val:
         return IDENTITY
     return Strategy((1.0, *result.x))
-
-
-def strategy_to_text(s: Strategy, n: int) -> str:
-    """Serializes a strategy and its horizon to a plain text record.
-
-    Coefficients use shortest round-trip decimal formatting, so parsing the
-    record recovers them exactly.
-    """
-    coef = ",".join(repr(float(c)) for c in s.coefficients)
-    return f"n={n}\nbands={s.bands}\ncoefficients={coef}\n"
-
-
-def strategy_from_text(text: str) -> tuple[Strategy, int]:
-    """Parses the record produced by :func:`strategy_to_text`."""
-    fields = {}
-    for line in text.strip().splitlines():
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    try:
-        n = int(fields["n"])
-        bands = int(fields["bands"])
-        coefficients = tuple(float(tok) for tok in fields["coefficients"].split(","))
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed strategy record: {exc}") from exc
-    if len(coefficients) != bands:
-        raise ValueError(
-            f"record declares {bands} bands but has {len(coefficients)} coefficients"
-        )
-    return Strategy(coefficients), n

@@ -98,16 +98,6 @@ class GradientVector:
         self._check_layout(other)
         return GradientVector(self.values + other.values, self.layout)
 
-    def __sub__(self, other: "GradientVector") -> "GradientVector":
-        self._check_layout(other)
-        return GradientVector(self.values - other.values, self.layout)
-
-    def scale(self, factor: float) -> "GradientVector":
-        return GradientVector(self.values * factor, self.layout)
-
-    def norm(self, geometry: str = "l2") -> float:
-        return float(vector_norm(self.values, geometry))
-
     def segment(self, name: str) -> np.ndarray:
         return self.values[self.layout.slice_of(name)]
 

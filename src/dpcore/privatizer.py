@@ -1,13 +1,11 @@
 """Noise addition behind a uniform stateful-update interface.
 
-Two kinds of privatizer share one (init, privatize) surface:
-
-  * gaussian: adds fresh i.i.d. Gaussian noise each step (stateless apart
-    from the key chain);
-  * banded: adds correlated noise. With band coefficients c_0..c_{b-1}
-    (c_0 > 0) defining a banded lower-triangular Toeplitz matrix C, the
-    emitted noise solves C z~ = z for fresh i.i.d. z by forward
-    substitution, keeping only the last b-1 emitted vectors in memory.
+A privatizer adds banded correlated noise. With band coefficients
+c_0 = 1, c_1..c_{b-1} defining a unit-diagonal banded lower-triangular
+Toeplitz matrix C, the emitted noise solves C z~ = z for fresh i.i.d. z by
+forward substitution, keeping only the last b-1 emitted vectors in memory.
+The i.i.d. Gaussian mechanism of DP-SGD is the one-band case,
+coefficients (1.0,): it emits the fresh noise exactly and keeps nothing.
 
 A privatizer records the sensitivity it was calibrated for and refuses
 inputs whose attached sensitivity disagrees; this is the configuration
@@ -22,16 +20,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
 
 import numpy as np
 
 from . import prng
 from .clipping import ClippedGradientSum
 from .models import GradientVector, Layout
-
-GAUSSIAN = "gaussian"
-BANDED = "banded"
 
 
 class SensitivityMismatchError(ValueError):
@@ -43,39 +37,27 @@ class Privatizer:
     """A noise-addition transformation.
 
     Attributes:
-      kind: "gaussian" or "banded".
       noise_stddev: Total standard deviation of the fresh noise injected per
         step, i.e. noise multiplier times the sensitivity the mechanism was
         calibrated for (times the strategy sensitivity for banded noise).
       sensitivity: The sensitivity this privatizer's noise was calibrated
         for; checked against every input.
-      coefficients: Band coefficients c_0..c_{b-1} with c_0 > 0 (banded
-        only). A gaussian privatizer behaves like a banded one with (1.0,).
+      coefficients: Band coefficients c_0..c_{b-1} with c_0 = 1, the
+        normalization ``matrix_factorization.Strategy`` enforces. The
+        default (1.0,) is i.i.d. Gaussian noise.
     """
 
-    kind: str
     noise_stddev: float
     sensitivity: float
-    coefficients: Optional[tuple[float, ...]] = None
+    coefficients: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        if self.kind not in (GAUSSIAN, BANDED):
-            raise ValueError(f"unknown privatizer kind {self.kind!r}")
         if self.noise_stddev < 0:
             raise ValueError(f"noise_stddev must be non-negative, got {self.noise_stddev}")
         if self.sensitivity <= 0:
             raise ValueError(f"sensitivity must be positive, got {self.sensitivity}")
-        if self.kind == BANDED:
-            if not self.coefficients:
-                raise ValueError("banded privatizer requires coefficients")
-            if self.coefficients[0] <= 0:
-                raise ValueError("leading band coefficient c_0 must be positive")
-        elif self.coefficients is not None:
-            raise ValueError("gaussian privatizer takes no coefficients")
-
-    @property
-    def bands(self) -> int:
-        return 1 if self.kind == GAUSSIAN else len(self.coefficients)
+        if not self.coefficients or self.coefficients[0] != 1.0:
+            raise ValueError("band coefficients must start with c_0 = 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,7 +65,7 @@ class PrivatizerState:
     """Streaming state: step index, key chain, and the band ring buffer.
 
     The buffer holds the most recent correlated noise vectors, newest first,
-    and never exceeds bands - 1 entries.
+    and never exceeds len(coefficients) - 1 entries.
     """
 
     step: int
@@ -128,19 +110,11 @@ def privatize(
     dim = state.layout.total_length
     fresh = prng.gaussian(step_key, dim, p.noise_stddev)
 
-    if p.kind == GAUSSIAN:
-        emitted = fresh
-        buffer = ()
-    else:
-        c = p.coefficients
-        acc = fresh
-        for j, prev in enumerate(state.buffer, start=1):
-            if j >= len(c):
-                break
-            acc = acc - c[j] * prev
-        emitted = acc / c[0]
-        keep = len(c) - 1
-        buffer = ((emitted,) + state.buffer)[:keep] if keep > 0 else ()
+    c = p.coefficients
+    emitted = fresh
+    for c_j, prev in zip(c[1:], state.buffer):
+        emitted = emitted - c_j * prev
+    buffer = ((emitted,) + state.buffer)[: len(c) - 1]
 
     noisy = GradientVector(csum.sum.values + emitted, state.layout)
     next_state = PrivatizerState(

@@ -46,7 +46,7 @@ from .models import (
     init_params,
 )
 from .optimizers import ADAMW_DEFAULTS, adamw_init, adamw_update, sgd_update
-from .privatizer import BANDED, GAUSSIAN, Privatizer
+from .privatizer import Privatizer
 from .privatizer import init as privatizer_init
 from .privatizer import privatize
 
@@ -102,7 +102,6 @@ class BatchConfig:
     strategy: str
     sampling_prob: Optional[float] = None
     batch_size: Optional[int] = None
-    max_batch_size: Optional[int] = None
 
     def plan(self, n: int, iterations: int, key: prng.PrngKey) -> batch_selection.BatchPlan:
         return batch_selection.BatchPlan(
@@ -112,7 +111,6 @@ class BatchConfig:
             key=key,
             sampling_prob=self.sampling_prob,
             batch_size=self.batch_size,
-            max_batch_size=self.max_batch_size,
         )
 
 
@@ -226,9 +224,6 @@ def validate_config(cfg: RunConfig) -> None:
     else:
         _require(cfg.batch.batch_size is not None and cfg.batch.batch_size >= 1,
                  "shuffled-fixed requires batch_size >= 1")
-    if strategy == batch_selection.TRUNCATED_POISSON:
-        _require(cfg.batch.max_batch_size is not None and cfg.batch.max_batch_size >= 0,
-                 "truncated-poisson requires max_batch_size >= 0")
 
     if cfg.mechanism == "none":
         _require(
@@ -377,12 +372,6 @@ def resolve_sigma(cfg: RunConfig) -> float:
     return accounting.calibrate_mf_noise(p.target_epsilon, p.delta)
 
 
-def _normalization_denominator(cfg: RunConfig, n: int) -> float:
-    if cfg.batch.strategy == batch_selection.SHUFFLED_FIXED:
-        return float(cfg.batch.batch_size)
-    return float(cfg.batch.sampling_prob) * n
-
-
 def _achieved_epsilon(cfg, sigma, strategy, plan):
     if cfg.mechanism == "none":
         return None
@@ -433,7 +422,6 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
         sigma = resolve_sigma(cfg)
         if cfg.mechanism == "dpsgd":
             priv = Privatizer(
-                kind=GAUSSIAN,
                 noise_stddev=sigma * cfg.clip.clip_norm,
                 sensitivity=cfg.clip.clip_norm,
             )
@@ -444,7 +432,6 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
                 iters=cfg.mf.opt_iters,
             )
             priv = Privatizer(
-                kind=BANDED,
                 noise_stddev=accounting.banded_noise_stddev(
                     strategy, sigma, cfg.clip.clip_norm, cfg.steps
                 ),
@@ -454,7 +441,7 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
         priv_state = privatizer_init(priv, params.layout, noise_key)
 
     plan = cfg.batch.plan(dataset.size, cfg.steps, batch_key)
-    denom = _normalization_denominator(cfg, dataset.size)
+    denom = plan.expected_batch_size
     _require(denom > 0, "expected batch size must be positive")
 
     eval_every = cfg.eval_every if cfg.eval_every is not None else max(1, cfg.steps // 20)
@@ -645,9 +632,7 @@ def _benchmark_cell(cfg, model, dataset, mechanism, batch_size, clip, sigma):
     priv = None
     priv_state = None
     if mechanism == "dpsgd":
-        priv = Privatizer(
-            kind=GAUSSIAN, noise_stddev=sigma * clip.clip_norm, sensitivity=clip.clip_norm
-        )
+        priv = Privatizer(noise_stddev=sigma * clip.clip_norm, sensitivity=clip.clip_norm)
         priv_state = privatizer_init(priv, params.layout, prng.fold_in(root, 3))
     opt_state = None
     n = dataset.size

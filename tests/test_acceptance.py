@@ -16,7 +16,6 @@ import scipy.linalg
 from dpcore import (
     accounting,
     auditing,
-    batch_selection,
     clipping,
     matrix_factorization as mf,
     models,
@@ -187,8 +186,7 @@ def test_criterion_06_correlated_noise_equivalence():
         coefs = _random_stable_coefficients(rng, bands)
         stddev = float(rng.uniform(0.5, 2.0))
         layout = models.Layout((("x", 0, 3),))
-        p = pz.Privatizer(kind="banded", noise_stddev=stddev, sensitivity=1.0,
-                          coefficients=coefs)
+        p = pz.Privatizer(noise_stddev=stddev, sensitivity=1.0, coefficients=coefs)
         key = prng.seed(6000 + trial)
         state = pz.init(p, layout, key)
         zero = clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0)
@@ -209,17 +207,17 @@ def test_criterion_06_correlated_noise_equivalence():
                     c_dense[i, i - j] = v
         dense = scipy.linalg.solve_triangular(c_dense, np.array(fresh), lower=True)
         worst = max(worst, float(np.max(np.abs(dense - np.array(outputs)))))
-    # b=1 bitwise reduction to the gaussian privatizer
+    # b=1 bitwise reduction to gaussian: the i.i.d. stream, replayed here
     layout = models.Layout((("x", 0, 5),))
     zero = clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0)
-    g = pz.Privatizer(kind="gaussian", noise_stddev=1.1, sensitivity=1.0)
-    b = pz.Privatizer(kind="banded", noise_stddev=1.1, sensitivity=1.0, coefficients=(1.0,))
-    sg, sb = pz.init(g, layout, prng.seed(1)), pz.init(b, layout, prng.seed(1))
+    b = pz.Privatizer(noise_stddev=1.1, sensitivity=1.0, coefficients=(1.0,))
+    sb = pz.init(b, layout, prng.seed(1))
+    k = prng.seed(1)
     bitwise = True
     for _ in range(8):
-        og, sg = pz.privatize(g, zero, sg)
         ob, sb = pz.privatize(b, zero, sb)
-        bitwise = bitwise and np.array_equal(og.values, ob.values)
+        sk, k = prng.split(k, 2)
+        bitwise = bitwise and np.array_equal(ob.values, prng.gaussian(sk, 5, 1.1))
     _report(6, worst <= 1e-10 and bitwise,
             f"20 strategies (n<=64, b<=8): max deviation from dense solve {worst:.2e}; "
             f"b=1 bit-identical to gaussian: {bitwise}",
@@ -298,7 +296,7 @@ def test_criterion_09_edge_case_dp_safety():
     )
     # a pure-noise step moves the parameters
     layout = models.Layout((("x", 0, 4),))
-    p = pz.Privatizer(kind="gaussian", noise_stddev=1.0, sensitivity=1.0)
+    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
     out, _ = pz.privatize(
         p,
         clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0),

@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from dpcore import batch_selection as bs
-from dpcore import clipping, models, prng
+from dpcore import prng
 
 
 def _plan(**kwargs):
@@ -132,97 +132,22 @@ def test_shuffled_drops_partial_batch():
 def test_amplification_flags():
     assert _plan().amplification_valid
     assert _plan(strategy=bs.CYCLIC_POISSON).amplification_valid
-    assert _plan(strategy=bs.TRUNCATED_POISSON, max_batch_size=3).amplification_valid
     shuffled = _plan(strategy=bs.SHUFFLED_FIXED, batch_size=5, sampling_prob=None)
     assert not shuffled.amplification_valid
     assert "invalid" in shuffled.privacy_warning
     assert _plan().privacy_warning is None
 
 
-def test_truncate_short_batch_unchanged():
-    batch = np.array([4, 9, 2])
-    out = bs.truncate(batch, 5, prng.seed(0))
-    assert np.array_equal(out, batch)
+def test_expected_batch_size_is_q_n_or_b():
+    assert _plan(n=2000, sampling_prob=0.1).expected_batch_size == 0.1 * 2000
+    assert _plan(strategy=bs.CYCLIC_POISSON, n=2000,
+                 sampling_prob=1 / 96).expected_batch_size == (1 / 96) * 2000
+    shuffled = _plan(strategy=bs.SHUFFLED_FIXED, batch_size=5, sampling_prob=None)
+    assert shuffled.expected_batch_size == 5.0
 
 
-def test_truncate_to_zero():
-    out = bs.truncate(np.arange(5), 0, prng.seed(0))
-    assert out.size == 0
-
-
-def test_truncate_uniform_retention():
-    # 100 elements truncated to 10 over many trials: per-element retention
-    # frequency 0.1 within a familywise z=4 band.
-    trials = 10**4
-    counts = np.zeros(100)
-    base = np.arange(100)
-    key = prng.seed(77)
-    for t in range(trials):
-        kept = bs.truncate(base, 10, prng.fold_in(key, t))
-        assert kept.size == 10
-        counts[kept] += 1
-    freq = counts / trials
-    band = 4.0 * np.sqrt(0.1 * 0.9 / trials)
-    assert np.all(np.abs(freq - 0.1) <= band)
-
-
-def test_truncate_preserves_order():
-    out = bs.truncate(np.array([30, 10, 20, 50, 40]), 3, prng.seed(5))
-    positions = [list([30, 10, 20, 50, 40]).index(v) for v in out]
-    assert positions == sorted(positions)
-
-
-def test_truncated_poisson_respects_cap():
-    plan = _plan(strategy=bs.TRUNCATED_POISSON, n=100, sampling_prob=0.5,
-                 iterations=20, max_batch_size=10)
-    for batch in bs.truncated_poisson_batches(plan):
-        assert batch.size <= 10
-
-
-def test_pad_batch_smallest_fit():
-    padded = bs.pad_batch([4, 9, 2], [4, 8])
-    assert np.array_equal(padded.indices, [4, 9, 2, -1])
-    assert np.array_equal(padded.mask, [True, True, True, False])
-
-
-def test_pad_batch_empty():
-    padded = bs.pad_batch([], [4])
-    assert np.array_equal(padded.indices, [-1] * 4)
-    assert not padded.mask.any()
-
-
-def test_pad_batch_second_bucket():
-    padded = bs.pad_batch(list(range(5)), [4, 8])
-    assert padded.indices.size == 8
-    assert int(np.sum(padded.indices == -1)) == 3
-    assert np.array_equal(padded.real_indices, np.arange(5))
-
-
-def test_pad_batch_overflow():
-    with pytest.raises(bs.BatchOverflowError):
-        bs.pad_batch(list(range(9)), [4, 8])
-
-
-def test_pad_batch_bad_buckets():
-    with pytest.raises(ValueError):
-        bs.pad_batch([1], [])
-    with pytest.raises(ValueError):
-        bs.pad_batch([1], [8, 4])
-
-
-def test_padding_soundness_through_clipping(rng):
-    # A padded batch (dummies filling the bucket) must produce exactly the
-    # unpadded clipped sum.
-    m = models.Model(kind="logistic", input_dim=3)
-    p = models.init_params(m, prng.seed(1))
-    dataset = rng.standard_normal((10, 3))
-    labels = rng.integers(0, 2, size=10).astype(float)
-    idx = [4, 9, 2]
-    padded = bs.pad_batch(idx, [8])
-    cfg = clipping.ClipConfig(clip_norm=1.0, microbatch_size=4)
-    a = clipping.clipped_grad_sum(
-        m, p, dataset[padded.indices], labels[padded.indices], cfg, mask=padded.mask
-    )
-    b = clipping.clipped_grad_sum(m, p, dataset[idx], labels[idx], cfg)
-    assert np.array_equal(a.sum.values, b.sum.values)
-    assert a.contributing_count == b.contributing_count == 3
+def test_truncated_poisson_is_not_a_strategy():
+    # Truncation raises the sensitivity of a step to 2C, which plain-Poisson
+    # accounting does not cover.
+    with pytest.raises(ValueError, match="unknown strategy"):
+        _plan(strategy="truncated-poisson")

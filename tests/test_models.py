@@ -123,7 +123,7 @@ def test_gradient_vector_arithmetic_layout_checked():
         _ = a + b
     c = a + models.GradientVector(2 * np.ones(3), a.layout)
     assert np.array_equal(c.values, 3 * np.ones(3))
-    assert a.scale(2.0).norm() == pytest.approx(2 * math.sqrt(3))
+    assert models.vector_norm(c.values, "l2") == pytest.approx(3 * math.sqrt(3))
 
 
 def test_layout_total_length_cached_outside_equality():

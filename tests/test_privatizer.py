@@ -42,14 +42,16 @@ def _replay_fresh_noise(key, steps, dim, stddev):
 
 
 def test_init_gaussian_empty_buffer():
-    p = pz.Privatizer(kind="gaussian", noise_stddev=1.0, sensitivity=1.0)
+    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
+    assert p.coefficients == (1.0,)
     st = pz.init(p, _layout(3), prng.seed(0))
     assert st.step == 0 and st.buffer == ()
+    _, st = pz.privatize(p, _zero_sum(_layout(3)), st)
+    assert st.step == 1 and st.buffer == ()  # one band keeps nothing
 
 
 def test_init_banded_buffer_capacity():
-    p = pz.Privatizer(kind="banded", noise_stddev=1.0, sensitivity=1.0,
-                      coefficients=(1.0, 0.5, 0.25, 0.1))
+    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0, coefficients=(1.0, 0.5, 0.25, 0.1))
     st = pz.init(p, _layout(2), prng.seed(0))
     assert st.buffer == ()
     for _ in range(6):
@@ -58,13 +60,15 @@ def test_init_banded_buffer_capacity():
 
 
 def test_init_determinism():
-    p = pz.Privatizer(kind="gaussian", noise_stddev=1.0, sensitivity=1.0)
+    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
     assert pz.init(p, _layout(3), prng.seed(4)) == pz.init(p, _layout(3), prng.seed(4))
 
 
-@pytest.mark.parametrize("kind,coefs", [("gaussian", None), ("banded", (1.0, -0.5))])
-def test_zero_stddev_passthrough(kind, coefs):
-    p = pz.Privatizer(kind=kind, noise_stddev=0.0, sensitivity=1.0, coefficients=coefs)
+# None takes the default coefficients, the i.i.d. Gaussian mechanism.
+@pytest.mark.parametrize("mechanism,coefs", [("gaussian", None), ("banded", (1.0, -0.5))])
+def test_zero_stddev_passthrough(mechanism, coefs):
+    band = {} if coefs is None else {"coefficients": coefs}
+    p = pz.Privatizer(noise_stddev=0.0, sensitivity=1.0, **band)
     st = pz.init(p, _layout(3), prng.seed(1))
     csum = _sum_of([1.0, -2.0, 3.0])
     out, st2 = pz.privatize(p, csum, st)
@@ -73,22 +77,20 @@ def test_zero_stddev_passthrough(kind, coefs):
 
 
 def test_banded_b1_bit_identical_to_gaussian():
-    g = pz.Privatizer(kind="gaussian", noise_stddev=1.3, sensitivity=1.0)
-    b = pz.Privatizer(kind="banded", noise_stddev=1.3, sensitivity=1.0,
-                      coefficients=(1.0,))
-    sg = pz.init(g, _layout(5), prng.seed(7))
-    sb = pz.init(b, _layout(5), prng.seed(7))
+    # One band emits exactly the i.i.d. Gaussian stream, replayed here.
+    p = pz.Privatizer(noise_stddev=1.3, sensitivity=1.0, coefficients=(1.0,))
+    st = pz.init(p, _layout(5), prng.seed(7))
+    outputs = []
     for _ in range(6):
-        og, sg = pz.privatize(g, _zero_sum(_layout(5)), sg)
-        ob, sb = pz.privatize(b, _zero_sum(_layout(5)), sb)
-        assert np.array_equal(og.values, ob.values)
+        out, st = pz.privatize(p, _zero_sum(_layout(5)), st)
+        outputs.append(out.values)
+    assert np.array_equal(np.array(outputs), _replay_fresh_noise(prng.seed(7), 6, 5, 1.3))
 
 
 def test_banded_matches_dense_solve():
     coefs = (1.0, -0.5, 0.25)
     steps, dim, stddev = 8, 4, 1.7
-    p = pz.Privatizer(kind="banded", noise_stddev=stddev, sensitivity=1.0,
-                      coefficients=coefs)
+    p = pz.Privatizer(noise_stddev=stddev, sensitivity=1.0, coefficients=coefs)
     st = pz.init(p, _layout(dim), prng.seed(5))
     outputs = []
     for _ in range(steps):
@@ -111,8 +113,7 @@ def test_streaming_dense_equivalence_random_strategies(rng):
             tail *= 0.9 / np.sum(np.abs(tail))
         coefs = tuple([1.0] + list(tail))
         stddev = float(rng.uniform(0.5, 2.0))
-        p = pz.Privatizer(kind="banded", noise_stddev=stddev, sensitivity=1.0,
-                          coefficients=coefs)
+        p = pz.Privatizer(noise_stddev=stddev, sensitivity=1.0, coefficients=coefs)
         key = prng.seed(trial)
         st = pz.init(p, _layout(dim), key)
         outputs = []
@@ -127,7 +128,7 @@ def test_streaming_dense_equivalence_random_strategies(rng):
 
 
 def test_empty_batch_emits_pure_noise():
-    p = pz.Privatizer(kind="gaussian", noise_stddev=0.5, sensitivity=1.0)
+    p = pz.Privatizer(noise_stddev=0.5, sensitivity=1.0)
     st = pz.init(p, _layout(4), prng.seed(2))
     out, st2 = pz.privatize(p, _zero_sum(_layout(4)), st)
     assert np.linalg.norm(out.values) > 0.0
@@ -135,22 +136,21 @@ def test_empty_batch_emits_pure_noise():
 
 
 def test_sensitivity_mismatch_rejected():
-    p = pz.Privatizer(kind="gaussian", noise_stddev=1.0, sensitivity=1.0)
+    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
     st = pz.init(p, _layout(2), prng.seed(0))
     with pytest.raises(pz.SensitivityMismatchError):
         pz.privatize(p, _sum_of([1.0, 2.0], sensitivity=2.0), st)
 
 
 def test_layout_mismatch_rejected():
-    p = pz.Privatizer(kind="gaussian", noise_stddev=1.0, sensitivity=1.0)
+    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
     st = pz.init(p, _layout(2), prng.seed(0))
     with pytest.raises(ValueError):
         pz.privatize(p, _sum_of([1.0, 2.0, 3.0]), st)
 
 
 def test_privatize_is_pure():
-    p = pz.Privatizer(kind="banded", noise_stddev=1.0, sensitivity=1.0,
-                      coefficients=(1.0, 0.3))
+    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0, coefficients=(1.0, 0.3))
     st = pz.init(p, _layout(3), prng.seed(9))
     csum = _sum_of([0.5, 0.5, 0.5])
     out1, next1 = pz.privatize(p, csum, st)
@@ -163,7 +163,7 @@ def test_gaussian_noise_distribution_ks():
     # 1e5 scalar steps; per-step noise must pass a KS test against
     # N(0, stddev^2) at significance 1e-3. Seeded, so deterministic.
     stddev = 0.7
-    p = pz.Privatizer(kind="gaussian", noise_stddev=stddev, sensitivity=1.0)
+    p = pz.Privatizer(noise_stddev=stddev, sensitivity=1.0)
     layout = _layout(1)
     st = pz.init(p, layout, prng.seed(31))
     zero = _zero_sum(layout)
@@ -176,13 +176,10 @@ def test_gaussian_noise_distribution_ks():
 
 
 def test_privatizer_validation():
+    for coefs in ((), (-1.0, 0.5), (2.0, 0.5)):  # c_0 must be 1, as in a Strategy
+        with pytest.raises(ValueError):
+            pz.Privatizer(noise_stddev=1.0, sensitivity=1.0, coefficients=coefs)
     with pytest.raises(ValueError):
-        pz.Privatizer(kind="banded", noise_stddev=1.0, sensitivity=1.0)
+        pz.Privatizer(noise_stddev=-1.0, sensitivity=1.0)
     with pytest.raises(ValueError):
-        pz.Privatizer(kind="banded", noise_stddev=1.0, sensitivity=1.0,
-                      coefficients=(-1.0, 0.5))
-    with pytest.raises(ValueError):
-        pz.Privatizer(kind="gaussian", noise_stddev=-1.0, sensitivity=1.0)
-    with pytest.raises(ValueError):
-        pz.Privatizer(kind="gaussian", noise_stddev=1.0, sensitivity=1.0,
-                      coefficients=(1.0,))
+        pz.Privatizer(noise_stddev=1.0, sensitivity=0.0)

@@ -395,6 +395,28 @@ def test_cli_train_rejects_mf_opt_iters_below_one(tmp_path, capsys):
     assert "mf.opt_iters" in capsys.readouterr().err
 
 
+# Truncation swaps one example for another when it fires, so a step's
+# sensitivity is 2C while plain-Poisson accounting charges C. The first three
+# configs are the ones whose reports claimed epsilon 20.3, 20.3 and 2.11.
+@pytest.mark.parametrize("n,q,max_batch_size,steps", [
+    (2000, 0.1, 200, 600),
+    (2000, 0.1, 230, 600),
+    (10_000, 0.01, 120, 1000),
+    (2000, 0.1, None, 600),
+])
+def test_cli_train_rejects_truncated_poisson(tmp_path, capsys, n, q, max_batch_size, steps):
+    batch = {"strategy": "truncated-poisson", "sampling_prob": q}
+    if max_batch_size is not None:
+        batch["max_batch_size"] = max_batch_size
+    raw = _cfg_dict(dataset={"source": "synthetic", "n": n, "d": 6,
+                             "task": "binary-classification", "seed": 4},
+                    batch=batch, steps=steps)
+    code = cli.main(["train", "--config", _write_cfg(tmp_path, raw)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("max_batch_size" if max_batch_size is not None else "truncated-poisson") in err
+
+
 def test_cli_calibrate_unreachable_target(tmp_path, capsys):
     raw = _cfg_dict(privacy={"target_epsilon": 1e-9, "delta": 1e-5},
                     batch={"strategy": "poisson", "sampling_prob": 1.0},

@@ -76,6 +76,8 @@ class AuditConfig:
             raise ValueError(f"unknown canary kind {self.kind!r}")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must be in (0, 1)")
+        if self.one_run_guesses is not None and self.one_run_guesses < 0:
+            raise ValueError("one_run_guesses must be non-negative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -289,10 +291,16 @@ def run_audit(
     accountant's guarantee for the trained mechanism (infinite when the
     noise multiplier is zero or the mechanism is non-private).
     """
+    if cfg.mechanism != "none" and cfg.clip.level == "group":
+        raise training.ConfigError(
+            "an audit trains without group keys; use example-level clipping"
+        )
     base = training.build_dataset(cfg)
     m = audit.num_canaries
     if audit.kind == LABEL_FLIP and m >= base.size:
-        raise ValueError("num_canaries must be smaller than the dataset")
+        raise training.ConfigError(
+            f"label-flip num_canaries ({m}) must be smaller than the dataset ({base.size})"
+        )
     root = prng.seed(cfg.seed)
     canaries = assign_canaries(m, audit.kind, base, prng.fold_in(root, 4))
 
@@ -307,9 +315,8 @@ def run_audit(
     )
 
     outcome = training.run_training(cfg, train_dataset)
-    model = cfg.model.build()
     scores = score_canaries(
-        model, outcome.final_params, canaries, init_params=outcome.initial_params
+        cfg.model, outcome.final_params, canaries, init_params=outcome.initial_params
     )
 
     delta = cfg.privacy.delta if cfg.privacy is not None else 1e-5

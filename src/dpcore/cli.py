@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from . import accounting, auditing, training
 
@@ -26,25 +27,35 @@ EXIT_CONFIG_ERROR = 2
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise training.ConfigError(f"{path} does not hold a JSON object")
+    return doc
 
 
-def _load_config(args) -> training.RunConfig:
-    raw = _load_json(args.config)
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "sigma_from", None) is not None:
-        calibration = _load_json(args.sigma_from)
-        privacy = dict(raw.get("privacy", {}))
-        privacy["noise_multiplier"] = calibration["noise_multiplier"]
-        privacy.pop("target_epsilon", None)
-        privacy.setdefault("delta", calibration.get("delta"))
-        raw["privacy"] = privacy
-    return training.config_from_dict(raw)
+def _load_config(args) -> tuple[training.RunConfig, Optional[auditing.AuditConfig]]:
+    """The run config with the command-line overrides, and the audit section if any."""
+    with training.config_errors():
+        raw = _load_json(args.config)
+        audit = raw.pop("audit", None)
+        if getattr(args, "seed", None) is not None:
+            raw["seed"] = args.seed
+        if getattr(args, "sigma_from", None) is not None:
+            calibration = _load_json(args.sigma_from)
+            if "noise_multiplier" not in calibration:
+                raise training.ConfigError(f"{args.sigma_from} has no noise_multiplier")
+            privacy = dict(raw.get("privacy", {}))
+            privacy["noise_multiplier"] = calibration["noise_multiplier"]
+            privacy.pop("target_epsilon", None)
+            privacy.setdefault("delta", calibration.get("delta"))
+            raw["privacy"] = privacy
+        if audit is not None:
+            audit = auditing.AuditConfig(**audit)
+    return training.config_from_dict(raw), audit
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     outcome = training.train(cfg)
     text = training.report_json(outcome.report)
     if args.output:
@@ -62,7 +73,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     if cfg.privacy is None or cfg.privacy.target_epsilon is None:
         raise training.ConfigError("calibrate requires privacy.target_epsilon")
     q = cfg.batch.sampling_prob if cfg.batch.sampling_prob is not None else 1.0
@@ -83,7 +94,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     result = training.run_benchmark(cfg)
     if args.output:
         result.to_csv(args.output)
@@ -97,18 +108,10 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    raw = _load_json(args.config)
-    audit_raw = raw.pop("audit", None)
-    if audit_raw is None:
+    cfg, audit = _load_config(args)
+    if audit is None:
         raise training.ConfigError("audit requires an 'audit' section in the config")
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    cfg = training.config_from_dict(raw)
-    try:
-        audit_cfg = auditing.AuditConfig(**audit_raw)
-    except (TypeError, ValueError) as exc:
-        raise training.ConfigError(f"bad audit configuration: {exc}") from exc
-    report = auditing.run_audit(cfg, audit_cfg)
+    report = auditing.run_audit(cfg, audit)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     if args.enforce and not report.passed:
         return EXIT_AUDIT_FAILED

@@ -14,10 +14,15 @@ which the training loop and the benchmark cells both call. Everything
 stochastic flows from the run seed through explicit PRNG keys, so a report
 is a pure function of its config (timing fields aside).
 
-Config and policy validation happens before the first step: a configuration
-whose accounting would be invalid (for example amplified accounting on
-shuffled batches, or correlated noise under a plan that allows repeated
-participation) never starts training.
+Validation happens before the first step, in two layers. Each config
+section is a type that checks its own fields when it is built, and
+:func:`config_from_dict` turns any field error into a :class:`ConfigError`.
+:func:`validate_config` then checks what spans sections: the mechanism
+against the privacy, clip and batch fields, the steps and the dataset. A
+configuration whose accounting would be invalid (for example amplified
+accounting on shuffled batches, or correlated noise under a plan that
+allows repeated participation) never starts training. The few checks that
+need the dataset's size or width run once it is built, still before step 1.
 
 The benchmark harness measures throughput as total examples processed
 divided by total wall time, after warmup, sweeping batch sizes in powers of
@@ -27,6 +32,7 @@ ratio.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -61,22 +67,18 @@ class PolicyError(ConfigError):
     """Configuration whose privacy accounting would be invalid."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ModelConfig:
-    kind: str
-    input_dim: int
-    hidden_dim: int = 0
-    activation: str = "relu"
-    loss: str = "log"
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
 
-    def build(self) -> Model:
-        return Model(
-            kind=self.kind,
-            input_dim=self.input_dim,
-            hidden_dim=self.hidden_dim,
-            activation=self.activation,
-            loss=self.loss,
-        )
+
+@contextlib.contextmanager
+def config_errors():
+    """Re-raises a bad field's TypeError, KeyError or ValueError as a ConfigError."""
+    try:
+        yield
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ConfigError(f"bad configuration: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,12 +91,35 @@ class DatasetConfig:
     num_groups: Optional[int] = None
     path: Optional[str] = None
 
+    def __post_init__(self):
+        _require(self.source in ("synthetic", "csv"), "dataset source must be synthetic or csv")
+        _require(self.task in ("regression", "binary-classification"),
+                 f"unknown task {self.task!r}")
+        if self.source == "csv":
+            _require(self.path is not None, "csv dataset requires a path")
+        else:
+            _require(self.n >= 1 and self.d >= 1, "synthetic dataset needs n >= 1 and d >= 1")
+        _require(self.num_groups is None or self.num_groups >= 1,
+                 "num_groups must be at least 1")
+
 
 @dataclasses.dataclass(frozen=True)
 class PrivacyConfig:
     delta: float
     target_epsilon: Optional[float] = None
     noise_multiplier: Optional[float] = None
+
+    def __post_init__(self):
+        has_target = self.target_epsilon is not None
+        _require(
+            has_target != (self.noise_multiplier is not None),
+            "specify exactly one of privacy.target_epsilon and privacy.noise_multiplier",
+        )
+        if has_target:
+            _require(self.target_epsilon > 0, "target_epsilon must be positive")
+        else:
+            _require(self.noise_multiplier >= 0, "noise_multiplier must be non-negative")
+        _require(0.0 < self.delta < 1.0, "delta must be in (0, 1)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,15 +128,16 @@ class BatchConfig:
     sampling_prob: Optional[float] = None
     batch_size: Optional[int] = None
 
-    def plan(self, n: int, iterations: int, key: prng.PrngKey) -> batch_selection.BatchPlan:
-        return batch_selection.BatchPlan(
-            strategy=self.strategy,
-            n=n,
-            iterations=iterations,
-            key=key,
-            sampling_prob=self.sampling_prob,
-            batch_size=self.batch_size,
-        )
+    def __post_init__(self):
+        strategy = self.strategy
+        _require(strategy in batch_selection.STRATEGIES, f"unknown batch strategy {strategy!r}")
+        if strategy == batch_selection.SHUFFLED_FIXED:
+            _require(self.batch_size is not None and self.batch_size >= 1,
+                     "shuffled-fixed requires batch_size >= 1")
+        else:
+            q = self.sampling_prob
+            _require(q is not None and 0.0 <= q <= 1.0,
+                     f"{strategy} requires sampling_prob in [0, 1]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,11 +149,18 @@ class OptimizerConfig:
     eps: float = ADAMW_DEFAULTS["eps"]
     weight_decay: float = ADAMW_DEFAULTS["weight_decay"]
 
+    def __post_init__(self):
+        _require(self.kind in ("sgd", "adamw"), "optimizer kind must be sgd or adamw")
+
 
 @dataclasses.dataclass(frozen=True)
 class MfConfig:
     bands: int = 4
     opt_iters: int = 200
+
+    def __post_init__(self):
+        _require(self.bands >= 1, "mf.bands must be at least 1")
+        _require(self.opt_iters >= 1, "mf.opt_iters must be at least 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,14 +169,22 @@ class BenchmarkConfig:
     measured_steps: int = 50
     batch_sizes: Optional[tuple[int, ...]] = None  # default: powers of two
 
+    def __post_init__(self):
+        _require(self.warmup_steps >= 0, "benchmark warmup_steps must be non-negative")
+        _require(self.measured_steps >= 1, "benchmark measured_steps must be at least 1")
+        if self.batch_sizes is not None:
+            object.__setattr__(self, "batch_sizes", tuple(self.batch_sizes))
+            _require(all(b >= 1 for b in self.batch_sizes),
+                     "benchmark batch sizes must be at least 1")
 
-@dataclasses.dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Full description of one run; every report echoes it with defaults filled."""
 
-    model: ModelConfig
+    model: Model
     dataset: DatasetConfig
-    mechanism: str
+    mechanism: str = "none"
     steps: int
     seed: int = 0
     privacy: Optional[PrivacyConfig] = None
@@ -157,74 +198,37 @@ class RunConfig:
     eval_every: Optional[int] = None
     report_path: Optional[str] = None
 
+    def __post_init__(self):
+        _require(self.mechanism in MECHANISMS, f"unknown mechanism {self.mechanism!r}")
+        _require(self.steps >= 1, "steps must be at least 1")
+        _require(self.eval_every is None or self.eval_every >= 1,
+                 "eval_every must be at least 1")
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
+
+# The type of each config section; a section left out takes its default.
+_SECTIONS = {
+    "model": Model,
+    "dataset": DatasetConfig,
+    "privacy": PrivacyConfig,
+    "clip": ClipConfig,
+    "batch": BatchConfig,
+    "optimizer": OptimizerConfig,
+    "mf": MfConfig,
+    "benchmark": BenchmarkConfig,
+}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Parses a JSON config dict into a validated RunConfig."""
-    try:
-        model = ModelConfig(**raw["model"])
-        dataset = DatasetConfig(**raw["dataset"])
-        mechanism = raw.get("mechanism", "none")
-        privacy = PrivacyConfig(**raw["privacy"]) if "privacy" in raw else None
-        clip = ClipConfig(**raw["clip"]) if "clip" in raw else None
-        batch = BatchConfig(**raw["batch"]) if "batch" in raw else BatchConfig(
-            strategy="poisson", sampling_prob=0.01
-        )
-        optimizer = (
-            OptimizerConfig(**raw["optimizer"]) if "optimizer" in raw else OptimizerConfig()
-        )
-        mf = MfConfig(**raw["mf"]) if "mf" in raw else MfConfig()
-        bench_raw = dict(raw.get("benchmark", {}))
-        if bench_raw.get("batch_sizes") is not None:
-            bench_raw["batch_sizes"] = tuple(bench_raw["batch_sizes"])
-        benchmark_cfg = BenchmarkConfig(**bench_raw)
-        cfg = RunConfig(
-            model=model,
-            dataset=dataset,
-            mechanism=mechanism,
-            steps=raw["steps"],
-            seed=raw.get("seed", 0),
-            privacy=privacy,
-            clip=clip,
-            batch=batch,
-            optimizer=optimizer,
-            mf=mf,
-            benchmark=benchmark_cfg,
-            eval_every=raw.get("eval_every"),
-            report_path=raw.get("report_path"),
-        )
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"bad configuration: {exc}") from exc
+    with config_errors():
+        sections = {name: kind(**raw[name]) for name, kind in _SECTIONS.items() if name in raw}
+        cfg = RunConfig(**{**raw, **sections})
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Fail-fast validation; no invalid configuration reaches step 1."""
-    _require(cfg.mechanism in MECHANISMS, f"unknown mechanism {cfg.mechanism!r}")
-    _require(cfg.steps >= 1, "steps must be at least 1")
-    _require(cfg.optimizer.kind in ("sgd", "adamw"), "optimizer kind must be sgd or adamw")
-    _require(
-        cfg.dataset.source in ("synthetic", "csv"),
-        "dataset source must be synthetic or csv",
-    )
-    if cfg.dataset.source == "csv":
-        _require(cfg.dataset.path is not None, "csv dataset requires a path")
-
-    strategy = cfg.batch.strategy
-    _require(strategy in batch_selection.STRATEGIES, f"unknown batch strategy {strategy!r}")
-    if strategy != batch_selection.SHUFFLED_FIXED:
-        q = cfg.batch.sampling_prob
-        _require(q is not None and 0.0 <= q <= 1.0,
-                 f"{strategy} requires sampling_prob in [0, 1]")
-    else:
-        _require(cfg.batch.batch_size is not None and cfg.batch.batch_size >= 1,
-                 "shuffled-fixed requires batch_size >= 1")
-
+    """The checks that span sections; no invalid configuration reaches step 1."""
     if cfg.mechanism == "none":
         _require(
             cfg.privacy is None,
@@ -234,18 +238,13 @@ def validate_config(cfg: RunConfig) -> None:
 
     _require(cfg.privacy is not None, f"mechanism {cfg.mechanism!r} requires privacy fields")
     _require(cfg.clip is not None, f"mechanism {cfg.mechanism!r} requires a clip config")
-    has_target = cfg.privacy.target_epsilon is not None
-    has_sigma = cfg.privacy.noise_multiplier is not None
-    _require(
-        has_target != has_sigma,
-        "specify exactly one of privacy.target_epsilon and privacy.noise_multiplier",
-    )
-    if has_target:
-        _require(cfg.privacy.target_epsilon > 0, "target_epsilon must be positive")
-    if has_sigma:
-        _require(cfg.privacy.noise_multiplier >= 0, "noise_multiplier must be non-negative")
-    _require(0.0 < cfg.privacy.delta < 1.0, "delta must be in (0, 1)")
-
+    if cfg.clip.level == "group":
+        _require(
+            cfg.dataset.source == "synthetic" and cfg.dataset.num_groups is not None,
+            "group-level clipping needs group keys, which only a synthetic dataset "
+            "with num_groups has",
+        )
+    strategy = cfg.batch.strategy
     if not batch_selection.amplification_valid(strategy):
         raise PolicyError(
             "shuffled fixed-size batches invalidate subsampling-amplified "
@@ -253,10 +252,8 @@ def validate_config(cfg: RunConfig) -> None:
             "mechanisms"
         )
     if cfg.mechanism == "banded-mf":
-        _require(cfg.mf.bands >= 1, "mf.bands must be at least 1")
         _require(cfg.mf.bands <= cfg.steps,
                  f"mf.bands ({cfg.mf.bands}) must not exceed steps ({cfg.steps})")
-        _require(cfg.mf.opt_iters >= 1, "mf.opt_iters must be at least 1")
         if strategy != batch_selection.CYCLIC_POISSON:
             raise PolicyError(
                 "banded-mf accounting assumes single participation; use the "
@@ -296,7 +293,8 @@ def synthesize_dataset(
 
     Features are i.i.d. standard normal; a hidden unit-scaled weight vector
     produces either noisy linear targets (regression) or separable-ish
-    binary labels (classification).
+    binary labels (classification). The arguments are those of a
+    :class:`DatasetConfig`, which checks them.
     """
     kx, kw, knoise = prng.split(key, 3)
     features = prng.gaussian(kx, n * d, 1.0).reshape(n, d)
@@ -304,15 +302,9 @@ def synthesize_dataset(
     logits = features @ true_w
     if task == "regression":
         labels = logits + prng.gaussian(knoise, n, 0.1)
-    elif task == "binary-classification":
-        labels = (logits + prng.gaussian(knoise, n, 0.1) > 0.0).astype(np.float64)
     else:
-        raise ConfigError(f"unknown task {task!r}")
-    group_keys = None
-    if num_groups is not None:
-        if num_groups < 1:
-            raise ConfigError("num_groups must be at least 1")
-        group_keys = np.arange(n, dtype=np.int64) % num_groups
+        labels = (logits + prng.gaussian(knoise, n, 0.1) > 0.0).astype(np.float64)
+    group_keys = None if num_groups is None else np.arange(n, dtype=np.int64) % num_groups
     return Dataset(features, labels, task, group_keys)
 
 
@@ -345,7 +337,6 @@ def load_csv_dataset(path: str, task: str) -> Dataset:
 def build_dataset(cfg: RunConfig) -> Dataset:
     ds = cfg.dataset
     if ds.source == "synthetic":
-        _require(ds.n >= 1 and ds.d >= 1, "synthetic dataset needs n >= 1 and d >= 1")
         return synthesize_dataset(
             ds.n, ds.d, ds.task, prng.seed(ds.seed), num_groups=ds.num_groups
         )
@@ -396,7 +387,7 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
     Deterministic given (cfg, dataset): all randomness flows from cfg.seed.
     """
     validate_config(cfg)
-    model = cfg.model.build()
+    model = cfg.model
     _require(
         model.input_dim == dataset.feature_dim,
         f"model input_dim {model.input_dim} does not match dataset "
@@ -440,7 +431,9 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
             )
         priv_state = privatizer_init(priv, params.layout, noise_key)
 
-    plan = cfg.batch.plan(dataset.size, cfg.steps, batch_key)
+    plan = batch_selection.BatchPlan(
+        n=dataset.size, iterations=cfg.steps, key=batch_key, **dataclasses.asdict(cfg.batch)
+    )
     denom = plan.expected_batch_size
     _require(denom > 0, "expected batch size must be positive")
 
@@ -587,7 +580,7 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkResult:
     the dpsgd/none ratio of those maxima.
     """
     dataset = build_dataset(cfg)
-    model = cfg.model.build()
+    model = cfg.model
     bench = cfg.benchmark
     sizes = bench.batch_sizes or _power_of_two_sizes(min(dataset.size, 256))
     clip = cfg.clip if cfg.clip is not None else ClipConfig(clip_norm=1.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dpcore import models, prng
 
@@ -54,3 +55,13 @@ def finite_difference_grad(model, params, features, labels, step=1e-5) -> np.nda
 
 def fresh_params(model, seed=0):
     return models.init_params(model, prng.seed(seed))
+
+
+def banded_toeplitz(coefficients, n: int) -> np.ndarray:
+    """Dense oracle of a banded strategy: the n x n lower-triangular Toeplitz
+    matrix whose first column starts with ``coefficients``, shifted down one
+    row per column."""
+    col = np.zeros(n)
+    head = np.asarray(coefficients, dtype=np.float64)[:n]
+    col[: head.size] = head
+    return scipy.linalg.toeplitz(col, np.zeros(n))

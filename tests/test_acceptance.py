@@ -24,7 +24,7 @@ from dpcore import (
     training,
 )
 
-from conftest import finite_difference_grad, random_batch, random_model
+from conftest import banded_toeplitz, finite_difference_grad, random_batch, random_model
 
 
 def _report(criterion: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -200,12 +200,9 @@ def test_criterion_06_correlated_noise_equivalence():
         for _ in range(steps):
             sk, k = prng.split(k, 2)
             fresh.append(prng.gaussian(sk, 3, stddev))
-        c_dense = np.zeros((steps, steps))
-        for i in range(steps):
-            for j, v in enumerate(coefs):
-                if i - j >= 0:
-                    c_dense[i, i - j] = v
-        dense = scipy.linalg.solve_triangular(c_dense, np.array(fresh), lower=True)
+        dense = scipy.linalg.solve_triangular(
+            banded_toeplitz(coefs, steps), np.array(fresh), lower=True
+        )
         worst = max(worst, float(np.max(np.abs(dense - np.array(outputs)))))
     # b=1 bitwise reduction to gaussian: the i.i.d. stream, replayed here
     layout = models.Layout((("x", 0, 5),))

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
+from conftest import banded_toeplitz
 from dpcore import clipping, matrix_factorization as mf, models, privatizer as pz, prng
-
-
-def materialize(s, n):
-    """The dense n x n strategy matrix: first column c, shifted down each column."""
-    col = np.zeros(n)
-    col[: s.bands] = s.coefficients
-    return scipy.linalg.toeplitz(col, np.zeros(n))
 
 
 def test_prefix_workload_small():
@@ -40,7 +33,7 @@ def test_sensitivity_matches_dense_materialization(rng):
         coefs = tuple([1.0] + list(rng.uniform(-1.0, 1.0, size=bands - 1)))
         s = mf.Strategy(coefs)
         n = 12
-        dense = materialize(s, n)
+        dense = banded_toeplitz(s.coefficients, n)
         brute = max(np.linalg.norm(dense[:, j]) for j in range(n))
         assert abs(mf.sensitivity(s, n) - brute) < 1e-12
 
@@ -59,7 +52,7 @@ def test_expected_error_n_one():
 
 
 def _dense_error(w, s):
-    b = w.matrix @ np.linalg.inv(materialize(s, w.n))
+    b = w.matrix @ np.linalg.inv(banded_toeplitz(s.coefficients, w.n))
     return np.sum(b * b) * mf.sensitivity(s, w.n) ** 2
 
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from conftest import banded_toeplitz
 from dpcore import clipping, models, privatizer as pz, prng
 
 
@@ -21,15 +22,6 @@ def _sum_of(values, sensitivity=1.0):
     return clipping.ClippedGradientSum(
         models.GradientVector(arr, _layout(arr.size)), sensitivity, 1, 0
     )
-
-
-def _materialize_banded(coefs, n):
-    c = np.zeros((n, n))
-    for i in range(n):
-        for j, v in enumerate(coefs):
-            if i - j >= 0:
-                c[i, i - j] = v
-    return c
 
 
 def _replay_fresh_noise(key, steps, dim, stddev):
@@ -97,7 +89,7 @@ def test_banded_matches_dense_solve():
         out, st = pz.privatize(p, _zero_sum(_layout(dim)), st)
         outputs.append(out.values)
     z = _replay_fresh_noise(prng.seed(5), steps, dim, stddev)
-    dense = scipy.linalg.solve_triangular(_materialize_banded(coefs, steps), z, lower=True)
+    dense = scipy.linalg.solve_triangular(banded_toeplitz(coefs, steps), z, lower=True)
     np.testing.assert_allclose(np.array(outputs), dense, atol=1e-10)
 
 
@@ -122,7 +114,7 @@ def test_streaming_dense_equivalence_random_strategies(rng):
             outputs.append(out.values)
         z = _replay_fresh_noise(key, steps, dim, stddev)
         dense = scipy.linalg.solve_triangular(
-            _materialize_banded(coefs, steps), z, lower=True
+            banded_toeplitz(coefs, steps), z, lower=True
         )
         np.testing.assert_allclose(np.array(outputs), dense, atol=1e-10)
 

@@ -503,3 +503,60 @@ def test_cli_audit_requires_audit_section(tmp_path, capsys):
     raw = _cfg_dict()
     code = cli.main(["audit", "--config", _write_cfg(tmp_path, raw)])
     assert code == 2
+
+
+# Configs whose errors are found before the dataset is built: (command, overrides).
+# "sigma-from" trains with a calibration file that lacks noise_multiplier.
+_EARLY_ERRORS = {
+    "train-model-kind": ("train", {"model": {"kind": "foo", "input_dim": 6}}),
+    "audit-model-kind": ("audit", {"model": {"kind": "foo", "input_dim": 6},
+                                   "audit": {"num_canaries": 10}}),
+    "mlp-hidden-dim-0": ("train", {"model": {"kind": "mlp", "input_dim": 6, "hidden_dim": 0}}),
+    "input-dim-0": ("train", {"model": {"kind": "logistic", "input_dim": 0}}),
+    "eval-every-0": ("train", {"eval_every": 0}),
+    "group-level-without-group-keys": ("train", {"clip": {"clip_norm": 1.0, "level": "group"}}),
+    "one-run-guesses-negative": ("audit", {"audit": {"num_canaries": 10,
+                                                     "one_run_guesses": -1}}),
+    "benchmark-measured-steps-0": ("benchmark", {"benchmark": {"measured_steps": 0,
+                                                               "batch_sizes": [1]}}),
+    "benchmark-batch-size-0": ("benchmark", {"benchmark": {"batch_sizes": [0]}}),
+    "sigma-from-without-noise-multiplier": ("sigma-from", {}),
+    "audit-group-level": ("audit", {"dataset": {"source": "synthetic", "n": 300, "d": 6,
+                                                "num_groups": 10},
+                                    "clip": {"clip_norm": 1.0, "level": "group"},
+                                    "audit": {"num_canaries": 10}}),
+    "unknown-top-level-field": ("train", {"eval_evry": 5}),
+}
+_BAD_CONFIGS = {
+    **_EARLY_ERRORS,
+    "label-flip-canaries-not-below-n": ("audit", {"audit": {"num_canaries": 300}}),
+}
+
+
+def _run_cli(tmp_path, command, overrides):
+    argv = [command, "--config", _write_cfg(tmp_path, _cfg_dict(**overrides))]
+    if command == "sigma-from":
+        cal_path = tmp_path / "cal.json"
+        cal_path.write_text(json.dumps({"delta": 1e-5}))
+        argv = ["train", *argv[1:], "--sigma-from", str(cal_path)]
+    return cli.main(argv)
+
+
+@pytest.mark.parametrize("command,overrides", _BAD_CONFIGS.values(), ids=_BAD_CONFIGS.keys())
+def test_cli_bad_config_exits_2_with_one_error_line(tmp_path, capsys, command, overrides):
+    assert _run_cli(tmp_path, command, overrides) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,overrides", _EARLY_ERRORS.values(), ids=_EARLY_ERRORS.keys())
+def test_cli_field_errors_precede_the_dataset(tmp_path, monkeypatch, capsys, command, overrides):
+    def build_dataset(cfg):
+        raise AssertionError("the dataset was built")
+
+    monkeypatch.setattr(training, "build_dataset", build_dataset)
+    with pytest.raises(AssertionError, match="the dataset was built"):
+        _run_cli(tmp_path, "train", {})
+    assert _run_cli(tmp_path, command, overrides) == 2

@@ -26,7 +26,11 @@ EXIT_CONFIG_ERROR = 2
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise training.ConfigError(f"cannot open {exc.filename}: {exc.strerror}") from exc
+    with fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise training.ConfigError(f"{path} does not hold a JSON object")
@@ -50,7 +54,7 @@ def _load_config(args) -> tuple[training.RunConfig, Optional[auditing.AuditConfi
             privacy.setdefault("delta", calibration.get("delta"))
             raw["privacy"] = privacy
         if audit is not None:
-            audit = auditing.AuditConfig(**audit)
+            audit = training.build_section(auditing.AuditConfig, audit, "audit")
     return training.config_from_dict(raw), audit
 
 

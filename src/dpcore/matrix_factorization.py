@@ -1,22 +1,24 @@
 """Construction, evaluation, and optimization of banded noise strategies.
 
 A strategy is a unit-diagonal banded lower-triangular Toeplitz matrix C
-given by its coefficients c_0 = 1, c_1, ..., c_{b-1}. Correlated noise
-C^{-1} Z replaces i.i.d. noise Z; the total squared error of the mechanism
-on a workload A is ||A C^{-1}||_F^2 times the squared sensitivity of C (its
-maximum column norm). Banded strategies stream with O(b) memory in the
-privatizer.
+given by its coefficients c_0 = 1, c_1, ..., c_{b-1}; it streams with O(b)
+memory in the privatizer. Correlated noise C^{-1} Z replaces i.i.d. noise
+Z, and the total squared error on the prefix-sum workload A is
+||A C^{-1}||_F^2 times the squared sensitivity of C (its max column norm).
 
-The error is evaluated as ||C^{-T} A^T||_F^2 with one banded triangular
-solve, O(b n^2) for a dense workload, so C is never formed. The optimizer
-is scipy's L-BFGS-B on c_1..c_{b-1} with its own finite-difference
-gradients, which removes a whole class of derivation bugs; the result is
-never worse than the identity strategy.
+The error has a closed form, so neither C nor A is ever formed: C^{-1} is
+lower-triangular Toeplitz with some first column r, so A C^{-1} is too, with
+first column S = cumsum(r), and ||A C^{-1}||_F^2 = sum_k (n - k) S_k^2. One
+banded triangular solve with a single right-hand side gives r, so an
+evaluation costs O(n b). The optimizer is scipy's L-BFGS-B on
+c_1..c_{b-1} with its own finite-difference gradients, which removes a
+whole class of derivation bugs; the result is never worse than identity.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.linalg
@@ -25,16 +27,9 @@ import scipy.optimize
 
 @dataclasses.dataclass(frozen=True)
 class Workload:
-    """A lower-triangular linear query workload over n steps."""
+    """The prefix-sum workload over n steps: query i sums steps 0..i."""
 
     n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.n, self.n):
-            raise ValueError("workload matrix must be n x n")
-        if not np.allclose(self.matrix, np.tril(self.matrix)):
-            raise ValueError("workload matrix must be lower-triangular")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,7 +56,7 @@ def prefix_workload(n: int) -> Workload:
     """The running-sum workload: A[i, j] = 1 for j <= i."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return Workload(n, np.tril(np.ones((n, n))))
+    return Workload(n)
 
 
 def sensitivity(s: Strategy, n: int) -> float:
@@ -78,17 +73,21 @@ def sensitivity(s: Strategy, n: int) -> float:
 def expected_error(w: Workload, s: Strategy) -> float:
     """Total squared error ||A C^{-1}||_F^2 * sensitivity(C)^2.
 
-    Computed as ||C^{-T} A^T||_F^2 by one banded solve: C^T is upper-banded
-    with c_k on superdiagonal k. Wild coefficients can overflow to inf; that
-    is reported as an infinite error, not a warning.
+    The last row of C^{-1} solves C^T x = e_{n-1} (C^T is upper-banded with
+    c_k on superdiagonal k) and is the first column r of C^{-1} reversed.
+    Coefficients whose inverse grows without bound overflow; any non-finite
+    result is reported as an infinite error, not a warning.
     """
-    u = s.bands - 1
-    ab = np.zeros((s.bands, w.n))
+    n, u = w.n, s.bands - 1
+    ab = np.zeros((s.bands, n))
     for k, c in enumerate(s.coefficients):
         ab[u - k, k:] = c
+    last = np.zeros(n)
+    last[-1] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        x = scipy.linalg.solve_banded((0, u), ab, w.matrix.T)
-        return float(np.sum(x * x)) * sensitivity(s, w.n) ** 2
+        first_column = np.cumsum(scipy.linalg.solve_banded((0, u), ab, last)[::-1])
+        error = float(np.arange(n, 0, -1) @ first_column**2) * sensitivity(s, n) ** 2
+    return error if math.isfinite(error) else math.inf
 
 
 def optimize_banded(w: Workload, bands: int, iters: int = 200) -> Strategy:

@@ -15,14 +15,17 @@ stochastic flows from the run seed through explicit PRNG keys, so a report
 is a pure function of its config (timing fields aside).
 
 Validation happens before the first step, in two layers. Each config
-section is a type that checks its own fields when it is built, and
-:func:`config_from_dict` turns any field error into a :class:`ConfigError`.
-:func:`validate_config` then checks what spans sections: the mechanism
-against the privacy, clip and batch fields, the steps and the dataset. A
-configuration whose accounting would be invalid (for example amplified
-accounting on shuffled batches, or correlated noise under a plan that
-allows repeated participation) never starts training. The few checks that
-need the dataset's size or width run once it is built, still before step 1.
+section is a type that checks its own fields when it is built, after
+:func:`build_section` has checked each JSON value against its field's
+annotation (a number for ``float``, an integer for ``int``, never a bool),
+and :func:`config_from_dict` turns any field error into a
+:class:`ConfigError`. :func:`validate_config` then checks what spans
+sections: the mechanism against the privacy, clip and batch fields, the
+steps and the dataset. A configuration whose accounting would be invalid
+(for example amplified accounting on shuffled batches, or correlated noise
+under a plan that allows repeated participation) never starts training.
+The few checks that need the dataset's size or width run once it is
+built, still before step 1.
 
 The benchmark harness measures throughput as total examples processed
 divided by total wall time, after warmup, sweeping batch sizes in powers of
@@ -37,7 +40,9 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import time
+import typing
 from typing import Optional
 
 import numpy as np
@@ -70,6 +75,38 @@ class PolicyError(ConfigError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _json_type_ok(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation; bool is not a number."""
+    origin = typing.get_origin(hint)
+    if origin is typing.Union:
+        return any(_json_type_ok(value, arg) for arg in typing.get_args(hint))
+    if origin is tuple:  # tuple[int, ...], given as a JSON list
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_json_type_ok(v, item) for v in value)
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def build_section(kind: type, fields: dict, section: Optional[str] = None):
+    """Builds a config section from a JSON object, checking each field's type first.
+
+    ``section`` is the section's key in the config ("optimizer"), which error
+    messages name; None is the top level.
+    """
+    _require(isinstance(fields, dict), f"{section or 'the config'} must be a JSON object")
+    hints = typing.get_type_hints(kind)
+    for name, hint in hints.items():
+        if name in fields and not _json_type_ok(fields[name], hint):
+            expected = hint.__name__ if typing.get_origin(hint) is None else str(hint)
+            path = f"{section}.{name}" if section else name
+            raise ConfigError(
+                f"{path} must be {expected.replace('typing.', '')}, got {fields[name]!r}"
+            )
+    return kind(**fields)
 
 
 @contextlib.contextmanager
@@ -221,8 +258,11 @@ _SECTIONS = {
 def config_from_dict(raw: dict) -> RunConfig:
     """Parses a JSON config dict into a validated RunConfig."""
     with config_errors():
-        sections = {name: kind(**raw[name]) for name, kind in _SECTIONS.items() if name in raw}
-        cfg = RunConfig(**{**raw, **sections})
+        sections = {
+            name: build_section(kind, raw[name], name)
+            for name, kind in _SECTIONS.items() if name in raw
+        }
+        cfg = build_section(RunConfig, {**raw, **sections})
     validate_config(cfg)
     return cfg
 
@@ -310,7 +350,11 @@ def synthesize_dataset(
 
 def load_csv_dataset(path: str, task: str) -> Dataset:
     """Loads a dataset from CSV with columns x0..x{d-1}, y (header required)."""
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot open csv dataset {path}: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -65,3 +65,8 @@ def banded_toeplitz(coefficients, n: int) -> np.ndarray:
     head = np.asarray(coefficients, dtype=np.float64)[:n]
     col[: head.size] = head
     return scipy.linalg.toeplitz(col, np.zeros(n))
+
+
+def prefix_matrix(n: int) -> np.ndarray:
+    """Dense oracle of the prefix-sum workload: A[i, j] = 1 for j <= i."""
+    return np.tril(np.ones((n, n)))

@@ -1,21 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import banded_toeplitz
+from conftest import banded_toeplitz, prefix_matrix
 from dpcore import clipping, matrix_factorization as mf, models, privatizer as pz, prng
-
-
-def test_prefix_workload_small():
-    assert np.array_equal(mf.prefix_workload(1).matrix, [[1.0]])
-    np.testing.assert_array_equal(
-        mf.prefix_workload(3).matrix, [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
-    )
-
-
-@pytest.mark.parametrize("n", [1, 4, 17])
-def test_prefix_workload_frobenius(n):
-    a = mf.prefix_workload(n).matrix
-    assert np.sum(a * a) == n * (n + 1) / 2
 
 
 def test_sensitivity_identity():
@@ -51,19 +43,28 @@ def test_expected_error_n_one():
     assert mf.expected_error(mf.prefix_workload(1), mf.IDENTITY) == pytest.approx(1.0)
 
 
-def _dense_error(w, s):
-    b = w.matrix @ np.linalg.inv(banded_toeplitz(s.coefficients, w.n))
-    return np.sum(b * b) * mf.sensitivity(s, w.n) ** 2
+def _dense_error(n, s):
+    b = prefix_matrix(n) @ np.linalg.inv(banded_toeplitz(s.coefficients, n))
+    return np.sum(b * b) * mf.sensitivity(s, n) ** 2
 
 
 @pytest.mark.parametrize(
-    "n,bands", [(1, 1), (2, 2), (5, 3), (8, 8), (16, 16), (32, 2), (33, 5), (96, 16)]
+    "n,bands",
+    [(1, 1), (2, 2), (5, 3), (8, 8), (16, 16), (32, 2), (33, 5), (96, 16), (1000, 4), (1000, 16)],
 )
 def test_expected_error_matches_dense_inverse(n, bands):
     rng = np.random.default_rng(1000 * n + bands)
     s = mf.Strategy((1.0, *rng.uniform(-1.0, 1.0, size=bands - 1) / bands))
     w = mf.prefix_workload(n)
-    assert mf.expected_error(w, s) == pytest.approx(_dense_error(w, s), rel=1e-12)
+    assert mf.expected_error(w, s) == pytest.approx(_dense_error(n, s), rel=1e-12)
+
+
+# Coefficients whose inverse grows geometrically, or overflows outright; the
+# suite's filterwarnings = error also fails any overflow warning.
+@pytest.mark.parametrize("coefficients", [(1, -5, 7, -9), (1, 10), (1, 1e200), (1, 2, -2, 2)])
+def test_expected_error_unstable_strategy_is_infinite(coefficients):
+    error = mf.expected_error(mf.prefix_workload(1000), mf.Strategy(coefficients))
+    assert error == math.inf
 
 
 def test_optimize_beats_identity_prefix32():
@@ -78,7 +79,7 @@ def test_optimize_band_one_returns_identity():
     w = mf.prefix_workload(8)
     s = mf.optimize_banded(w, 1, iters=10)
     assert s == mf.IDENTITY
-    assert mf.expected_error(w, s) == pytest.approx(np.sum(w.matrix**2))
+    assert mf.expected_error(w, s) == pytest.approx(8 * 9 / 2)
 
 
 def test_optimize_never_worse_than_identity(rng):
@@ -97,7 +98,27 @@ def test_optimize_long_horizon_beats_identity(n, bands):
     assert s.bands == bands
     assert s.coefficients[0] == 1.0
     assert np.all(np.isfinite(s.coefficients))
-    assert _dense_error(w, s) < n * (n + 1) / 2
+    assert _dense_error(n, s) < n * (n + 1) / 2
+
+
+def test_optimize_horizon_beyond_dense_memory():
+    # A dense 10^4 x 10^4 workload would take 800 MB.
+    n = 10_000
+    s = mf.optimize_banded(mf.prefix_workload(n), 16)
+    assert s.bands == 16
+    assert s.coefficients[0] == 1.0
+    assert np.all(np.isfinite(s.coefficients))
+    assert mf.expected_error(mf.prefix_workload(n), s) < n * (n + 1) / 2
+
+
+def test_training_import_leaves_out_scipy_signal():
+    # Importing scipy.signal takes over half a second, which every run would pay.
+    code = "import sys, dpcore.training; print('scipy.signal' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_strategy_normalization_enforced():

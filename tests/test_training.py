@@ -506,7 +506,8 @@ def test_cli_audit_requires_audit_section(tmp_path, capsys):
 
 
 # Configs whose errors are found before the dataset is built: (command, overrides).
-# "sigma-from" trains with a calibration file that lacks noise_multiplier.
+# "sigma-from" trains with a calibration file that lacks noise_multiplier;
+# "missing-config" and "missing-sigma-from" train with that file missing.
 _EARLY_ERRORS = {
     "train-model-kind": ("train", {"model": {"kind": "foo", "input_dim": 6}}),
     "audit-model-kind": ("audit", {"model": {"kind": "foo", "input_dim": 6},
@@ -526,9 +527,16 @@ _EARLY_ERRORS = {
                                     "clip": {"clip_norm": 1.0, "level": "group"},
                                     "audit": {"num_canaries": 10}}),
     "unknown-top-level-field": ("train", {"eval_evry": 5}),
+    "learning-rate-string": ("train", {"optimizer": {"kind": "sgd", "learning_rate": "a"}}),
+    "seed-string": ("train", {"seed": "a"}),
+    "steps-bool": ("train", {"steps": True}),
+    "missing-config": ("missing-config", {}),
+    "missing-sigma-from": ("missing-sigma-from", {}),
 }
 _BAD_CONFIGS = {
     **_EARLY_ERRORS,
+    "missing-dataset-path": ("train", {"dataset": {"source": "csv",
+                                                   "path": "no-such-dataset.csv"}}),
     "label-flip-canaries-not-below-n": ("audit", {"audit": {"num_canaries": 300}}),
 }
 
@@ -539,6 +547,10 @@ def _run_cli(tmp_path, command, overrides):
         cal_path = tmp_path / "cal.json"
         cal_path.write_text(json.dumps({"delta": 1e-5}))
         argv = ["train", *argv[1:], "--sigma-from", str(cal_path)]
+    elif command == "missing-config":
+        argv = ["train", "--config", str(tmp_path / "missing.json")]
+    elif command == "missing-sigma-from":
+        argv = ["train", *argv[1:], "--sigma-from", str(tmp_path / "missing.json")]
     return cli.main(argv)
 
 

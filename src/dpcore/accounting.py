@@ -23,7 +23,7 @@ is reduced as m + log1p(sum of exp(term - m) over the other terms), m the
 row's largest term; log1p keeps the small remainder exact when one term
 dominates, as it does at tiny q and large sigma.
 
-The independent oracle for the unamplified case is the analytic Gaussian
+The independent oracle for one step at q = 1 is the analytic Gaussian
 mechanism: the exact two-term expression
 
     delta(eps) = Phi(1/(2 sigma) - eps sigma)
@@ -61,10 +61,6 @@ from . import matrix_factorization
 DEFAULT_ORDERS = tuple(range(2, 513))
 
 
-class AmplificationError(ValueError):
-    """Amplified accounting requested for a plan that does not support it."""
-
-
 class CalibrationRangeError(ValueError):
     """The privacy target cannot be met within the noise search bracket."""
 
@@ -80,8 +76,6 @@ class PrivacySpec:
       noise_multiplier: Ratio of noise stddev to sensitivity (sigma).
       sampling_prob: Poisson inclusion probability q in [0, 1].
       steps: Number of composed steps T.
-      amplification_valid: Whether the batch plan satisfies the Poisson
-        sampling assumption behind amplified accounting.
     """
 
     epsilon: float
@@ -89,7 +83,6 @@ class PrivacySpec:
     noise_multiplier: float
     sampling_prob: float
     steps: int
-    amplification_valid: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -232,7 +225,7 @@ def _analytic_delta(eps: float, sigma: float) -> float:
 
 
 def analytic_gaussian_epsilon(sigma: float, delta: float) -> float:
-    """Exact epsilon of the (unamplified, single-shot) Gaussian mechanism.
+    """Exact epsilon of the single-shot Gaussian mechanism, without subsampling.
 
     Solves delta(eps) = delta by bisection; the returned epsilon reproduces
     the target delta to 1e-12. Serves as the independent oracle for the
@@ -272,20 +265,13 @@ def analytic_gaussian_epsilon(sigma: float, delta: float) -> float:
 def epsilon(spec: PrivacySpec, orders: Sequence[int] = DEFAULT_ORDERS) -> float:
     """Epsilon of T composed Poisson-subsampled Gaussian steps.
 
-    Raises:
-      AmplificationError: spec.amplification_valid is False but q < 1; the
-        batch plan does not satisfy the sampling assumption, so amplified
-        accounting would overstate the guarantee.
+    Precondition: every step's batch is a Poisson sample of the dataset,
+    each example included independently with probability
+    spec.sampling_prob. The value is not a guarantee for any other batch
+    selection; the trainer checks the batch strategy before it asks.
     """
     if spec.noise_multiplier == 0.0:
         return math.inf
-    if spec.sampling_prob < 1.0 and not spec.amplification_valid:
-        raise AmplificationError(
-            "batch plan is flagged amplification-invalid (e.g. shuffled "
-            "fixed-size batches); subsampling-amplified accounting at "
-            f"q={spec.sampling_prob} would not be a valid privacy guarantee. "
-            "Use a Poisson-family plan or account at q=1."
-        )
     curve = rdp_subsampled_gaussian(spec.sampling_prob, spec.noise_multiplier, orders)
     eps, _ = rdp_to_epsilon(compose(curve, spec.steps), spec.delta)
     return eps
@@ -361,23 +347,6 @@ def calibrate_mf_noise(target_epsilon: float, delta: float) -> float:
     )
 
 
-def mf_epsilon(
-    strategy: matrix_factorization.Strategy, sigma: float, delta: float, n: int
-) -> float:
-    """Epsilon of a banded correlated mechanism in the streaming setting.
-
-    Restricted to single participation: each example contributes to at most
-    one of the n steps. The stacked mechanism is then a single Gaussian
-    release with noise-to-sensitivity ratio sigma, provided the privatizer's
-    fresh-noise stddev was constructed as
-    sigma * clip_norm * sensitivity(strategy, n)
-    (see :func:`banded_noise_stddev`).
-    """
-    if n < strategy.bands:
-        raise ValueError(f"n={n} is smaller than the strategy band count")
-    return analytic_gaussian_epsilon(sigma, delta)
-
-
 def banded_noise_stddev(
     strategy: matrix_factorization.Strategy,
     noise_multiplier: float,
@@ -388,7 +357,9 @@ def banded_noise_stddev(
 
     The correlated mechanism's effective noise-to-sensitivity ratio equals
     noise_multiplier exactly when the fresh noise Z has stddev
-    noise_multiplier * clip_norm * sensitivity(strategy, n).
+    noise_multiplier * clip_norm * sensitivity(strategy, n). Under single
+    participation the stacked mechanism is then one Gaussian release, whose
+    epsilon is :func:`analytic_gaussian_epsilon` at noise_multiplier.
     """
     if noise_multiplier < 0:
         raise ValueError("noise_multiplier must be non-negative")

@@ -4,10 +4,8 @@ Strategies return plain integer index lists and know nothing about the
 underlying dataset format, so any loader can consume them. Each strategy is
 a pure function of (plan, key): iterating twice yields identical sequences.
 
-Every plan carries a machine-readable ``amplification_valid`` flag.
-Poisson-family strategies support privacy amplification by subsampling;
-shuffled fixed-size batching does not, and accounting refuses to apply
-amplified bounds to it.
+This module only samples. Which strategies make a mechanism's privacy
+accounting valid is decided by the trainer (``training.POLICY``).
 
 Batches vary in size and are handed on as they are: numpy has no compiler
 that would profit from padding them to a few fixed shapes.
@@ -28,11 +26,6 @@ CYCLIC_POISSON = "cyclic-poisson"
 SHUFFLED_FIXED = "shuffled-fixed"
 
 STRATEGIES = (POISSON, CYCLIC_POISSON, SHUFFLED_FIXED)
-
-
-def amplification_valid(strategy: str) -> bool:
-    """Whether subsampling-amplified accounting applies to a strategy."""
-    return strategy != SHUFFLED_FIXED
 
 
 def cyclic_epoch_length(sampling_prob: float) -> int:
@@ -77,11 +70,6 @@ class BatchPlan:
                 raise ValueError(f"batch_size must be in [1, n], got {b}")
 
     @property
-    def amplification_valid(self) -> bool:
-        """Whether subsampling-amplified accounting applies to this plan."""
-        return amplification_valid(self.strategy)
-
-    @property
     def expected_batch_size(self) -> float:
         """The batch size a step's gradient sum is normalized by.
 
@@ -90,16 +78,6 @@ class BatchPlan:
         if self.strategy == SHUFFLED_FIXED:
             return float(self.batch_size)
         return float(self.sampling_prob) * self.n
-
-    @property
-    def privacy_warning(self) -> Optional[str]:
-        if not self.amplification_valid:
-            return (
-                "shuffled fixed-size batching does not satisfy the Poisson "
-                "sampling assumption; amplified privacy accounting is invalid "
-                "for this plan"
-            )
-        return None
 
 
 def batches(plan: BatchPlan) -> Iterator[np.ndarray]:
@@ -166,8 +144,9 @@ def shuffled_fixed_batches(plan: BatchPlan) -> Iterator[np.ndarray]:
     """Shuffle-and-batch: the common non-private loader, for comparison only.
 
     Per epoch: one uniform shuffle, then consecutive batches of exactly B
-    indices; a final partial batch is dropped. The plan's amplification flag
-    is False -- see plan.privacy_warning.
+    indices; a final partial batch is dropped. No private mechanism's
+    accounting holds under it, so the trainer runs it for mechanism "none"
+    only.
     """
     if plan.strategy != SHUFFLED_FIXED:
         raise ValueError(f"plan strategy is {plan.strategy!r}, expected {SHUFFLED_FIXED!r}")

@@ -80,12 +80,11 @@ def _cmd_calibrate(args) -> int:
     cfg, _ = _load_config(args)
     if cfg.privacy is None or cfg.privacy.target_epsilon is None:
         raise training.ConfigError("calibrate requires privacy.target_epsilon")
-    q = cfg.batch.sampling_prob if cfg.batch.sampling_prob is not None else 1.0
     result = {
         "noise_multiplier": training.resolve_sigma(cfg),
         "target_epsilon": cfg.privacy.target_epsilon,
         "delta": cfg.privacy.delta,
-        "sampling_prob": q,
+        "sampling_prob": cfg.batch.sampling_prob,
         "steps": cfg.steps,
         "mechanism": cfg.mechanism,
     }
@@ -161,8 +160,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (training.ConfigError, accounting.CalibrationRangeError,
-            accounting.AmplificationError) as exc:
+    except (training.ConfigError, accounting.CalibrationRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

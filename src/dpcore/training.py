@@ -21,11 +21,11 @@ annotation (a number for ``float``, an integer for ``int``, never a bool),
 and :func:`config_from_dict` turns any field error into a
 :class:`ConfigError`. :func:`validate_config` then checks what spans
 sections: the mechanism against the privacy, clip and batch fields, the
-steps and the dataset. A configuration whose accounting would be invalid
-(for example amplified accounting on shuffled batches, or correlated noise
-under a plan that allows repeated participation) never starts training.
-The few checks that need the dataset's size or width run once it is
-built, still before step 1.
+steps and the dataset. The privacy policy lives here and nowhere else: a
+configuration outside :data:`POLICY` never starts training. The few checks
+that need the dataset's size or width run once it is built, still before
+step 1. DP-SGD noise is the one-band (identity) case of banded noise, so
+every privatizer is built one way, by :func:`_privatizer`.
 
 The benchmark harness measures throughput as total examples processed
 divided by total wall time, after warmup, sweeping batch sizes in powers of
@@ -61,7 +61,15 @@ from .privatizer import Privatizer
 from .privatizer import init as privatizer_init
 from .privatizer import privatize
 
-MECHANISMS = ("none", "dpsgd", "banded-mf")
+# The privacy policy: for each private mechanism, the batch strategies its
+# accounting holds under, and the assumption that makes it hold there.
+POLICY = {
+    "dpsgd": ((batch_selection.POISSON, batch_selection.CYCLIC_POISSON),
+              "privacy amplified by Poisson subsampling"),
+    "banded-mf": ((batch_selection.CYCLIC_POISSON,), "single participation"),
+}
+
+MECHANISMS = ("none", *POLICY)
 
 
 class ConfigError(ValueError):
@@ -173,8 +181,8 @@ class BatchConfig:
                      "shuffled-fixed requires batch_size >= 1")
         else:
             q = self.sampling_prob
-            _require(q is not None and 0.0 <= q <= 1.0,
-                     f"{strategy} requires sampling_prob in [0, 1]")
+            _require(q is not None and 0.0 < q <= 1.0,
+                     f"{strategy} requires sampling_prob in (0, 1]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -284,28 +292,21 @@ def validate_config(cfg: RunConfig) -> None:
             "group-level clipping needs group keys, which only a synthetic dataset "
             "with num_groups has",
         )
-    strategy = cfg.batch.strategy
-    if not batch_selection.amplification_valid(strategy):
+    strategies, assumption = POLICY[cfg.mechanism]
+    if cfg.batch.strategy not in strategies:
         raise PolicyError(
-            "shuffled fixed-size batches invalidate subsampling-amplified "
-            "accounting; use a Poisson-family batch strategy for private "
-            "mechanisms"
+            f"{cfg.mechanism} accounting assumes {assumption}, which holds only "
+            f"under batch strategy {' or '.join(strategies)}, not {cfg.batch.strategy}"
         )
     if cfg.mechanism == "banded-mf":
         _require(cfg.mf.bands <= cfg.steps,
                  f"mf.bands ({cfg.mf.bands}) must not exceed steps ({cfg.steps})")
-        if strategy != batch_selection.CYCLIC_POISSON:
-            raise PolicyError(
-                "banded-mf accounting assumes single participation; use the "
-                "cyclic-poisson batch strategy"
-            )
         q = cfg.batch.sampling_prob
         epoch_len = batch_selection.cyclic_epoch_length(q)
         if cfg.steps > epoch_len:
             raise PolicyError(
-                f"banded-mf accounting assumes single participation, which "
-                f"bounds steps by one epoch ({epoch_len} at q={q}); "
-                f"got steps={cfg.steps}"
+                f"banded-mf accounting assumes {assumption}, which bounds steps "
+                f"by one epoch ({epoch_len} at q={q}); got steps={cfg.steps}"
             )
 
 
@@ -371,8 +372,14 @@ def load_csv_dataset(path: str, task: str) -> Dataset:
         col_index = [header.index(c) for c in expected]
         features, labels = [], []
         for row in reader:
-            features.append([float(row[i]) for i in col_index])
-            labels.append(float(row[y_col]))
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} values, got {len(row)}")
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise ConfigError(f"csv dataset {path} line {reader.line_num}: {exc}") from exc
+            features.append([values[i] for i in col_index])
+            labels.append(values[y_col])
     if not features:
         raise ConfigError(f"csv dataset has no rows: {path}")
     return Dataset(np.array(features), np.array(labels), task)
@@ -401,28 +408,40 @@ def resolve_sigma(cfg: RunConfig) -> float:
     p = cfg.privacy
     if p.noise_multiplier is not None:
         return p.noise_multiplier
-    q = cfg.batch.sampling_prob if cfg.batch.sampling_prob is not None else 1.0
     if cfg.mechanism == "dpsgd":
-        return accounting.calibrate_noise(p.target_epsilon, p.delta, q, cfg.steps)
+        return accounting.calibrate_noise(
+            p.target_epsilon, p.delta, cfg.batch.sampling_prob, cfg.steps
+        )
     return accounting.calibrate_mf_noise(p.target_epsilon, p.delta)
 
 
-def _achieved_epsilon(cfg, sigma, strategy, plan):
-    if cfg.mechanism == "none":
-        return None
-    if sigma == 0.0:
-        return math.inf
+def _private_noise(cfg: RunConfig) -> tuple[float, matrix_factorization.Strategy, float]:
+    """The noise multiplier, noise strategy and achieved epsilon of a private run.
+
+    DP-SGD is the identity strategy, T Poisson-subsampled Gaussian steps.
+    Banded-mf optimizes its bands and, under single participation, is one
+    Gaussian release at sigma.
+    """
+    sigma = resolve_sigma(cfg)
+    delta = cfg.privacy.delta
     if cfg.mechanism == "dpsgd":
-        spec = accounting.PrivacySpec(
-            epsilon=math.inf,
-            delta=cfg.privacy.delta,
-            noise_multiplier=sigma,
-            sampling_prob=cfg.batch.sampling_prob,
-            steps=cfg.steps,
-            amplification_valid=plan.amplification_valid,
-        )
-        return accounting.epsilon(spec)
-    return accounting.mf_epsilon(strategy, sigma, cfg.privacy.delta, cfg.steps)
+        spec = accounting.PrivacySpec(math.inf, delta, sigma, cfg.batch.sampling_prob, cfg.steps)
+        achieved = accounting.epsilon(spec) if sigma > 0 else math.inf
+        return sigma, matrix_factorization.IDENTITY, achieved
+    strategy = matrix_factorization.optimize_banded(
+        matrix_factorization.prefix_workload(cfg.steps), cfg.mf.bands, iters=cfg.mf.opt_iters
+    )
+    achieved = accounting.analytic_gaussian_epsilon(sigma, delta) if sigma > 0 else math.inf
+    return sigma, strategy, achieved
+
+
+def _privatizer(strategy, sigma, clip, steps) -> Privatizer:
+    """The privatizer adding ``strategy``'s noise at multiplier ``sigma`` over ``steps`` steps."""
+    return Privatizer(
+        noise_stddev=accounting.banded_noise_stddev(strategy, sigma, clip.clip_norm, steps),
+        sensitivity=clip.clip_norm,
+        coefficients=strategy.coefficients,
+    )
 
 
 def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
@@ -449,37 +468,17 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
     params = init_params(model, init_key)
     initial_params = params
 
-    strategy = None
-    sigma = None
-    priv = None
-    priv_state = None
+    sigma = strategy = achieved = priv = priv_state = None
     if cfg.mechanism != "none":
-        sigma = resolve_sigma(cfg)
-        if cfg.mechanism == "dpsgd":
-            priv = Privatizer(
-                noise_stddev=sigma * cfg.clip.clip_norm,
-                sensitivity=cfg.clip.clip_norm,
-            )
-        else:
-            strategy = matrix_factorization.optimize_banded(
-                matrix_factorization.prefix_workload(cfg.steps),
-                cfg.mf.bands,
-                iters=cfg.mf.opt_iters,
-            )
-            priv = Privatizer(
-                noise_stddev=accounting.banded_noise_stddev(
-                    strategy, sigma, cfg.clip.clip_norm, cfg.steps
-                ),
-                sensitivity=cfg.clip.clip_norm,
-                coefficients=strategy.coefficients,
-            )
+        sigma, strategy, achieved = _private_noise(cfg)
+        priv = _privatizer(strategy, sigma, cfg.clip, cfg.steps)
         priv_state = privatizer_init(priv, params.layout, noise_key)
+    optimized = strategy if cfg.mechanism == "banded-mf" else None
 
     plan = batch_selection.BatchPlan(
         n=dataset.size, iterations=cfg.steps, key=batch_key, **dataclasses.asdict(cfg.batch)
     )
     denom = plan.expected_batch_size
-    _require(denom > 0, "expected batch size must be positive")
 
     eval_every = cfg.eval_every if cfg.eval_every is not None else max(1, cfg.steps // 20)
 
@@ -504,10 +503,8 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
             trajectory.append([step, dataset_mean_loss(model, params, dataset)])
     elapsed = time.perf_counter() - started
 
-    achieved = _achieved_epsilon(cfg, sigma, strategy, plan)
     report = {
         "config": config_to_dict(cfg),
-        "privacy_warning": plan.privacy_warning,
         "seed": cfg.seed,
         "mechanism": cfg.mechanism,
         "sigma": sigma,
@@ -515,8 +512,8 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
         "delta": cfg.privacy.delta if cfg.privacy else None,
         "achieved_epsilon": achieved,
         "normalization_denominator": denom,
-        "strategy_coefficients": list(strategy.coefficients) if strategy else None,
-        "strategy_objective": "total-squared-error-frobenius" if strategy else None,
+        "strategy_coefficients": list(optimized.coefficients) if optimized else None,
+        "strategy_objective": "total-squared-error-frobenius" if optimized else None,
         "steps_run": cfg.steps,
         "empty_batches": empty_batches,
         "dropped_nonfinite_total": dropped_total,
@@ -669,7 +666,8 @@ def _benchmark_cell(cfg, model, dataset, mechanism, batch_size, clip, sigma):
     priv = None
     priv_state = None
     if mechanism == "dpsgd":
-        priv = Privatizer(noise_stddev=sigma * clip.clip_norm, sensitivity=clip.clip_norm)
+        steps = cfg.benchmark.warmup_steps + cfg.benchmark.measured_steps
+        priv = _privatizer(matrix_factorization.IDENTITY, sigma, clip, steps)
         priv_state = privatizer_init(priv, params.layout, prng.fold_in(root, 3))
     opt_state = None
     n = dataset.size

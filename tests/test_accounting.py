@@ -267,17 +267,6 @@ def test_epsilon_golden_value():
     assert accounting.epsilon(spec) == pytest.approx(2.107753075451565, rel=1e-9)
 
 
-def test_epsilon_rejects_amplification_invalid_plan():
-    spec = accounting.PrivacySpec(
-        math.inf, 1e-5, 1.0, 0.5, 10, amplification_valid=False
-    )
-    with pytest.raises(accounting.AmplificationError):
-        accounting.epsilon(spec)
-    # q = 1 needs no amplification, so the same flag is fine there.
-    ok = accounting.PrivacySpec(math.inf, 1e-5, 1.0, 1.0, 10, amplification_valid=False)
-    assert math.isfinite(accounting.epsilon(ok))
-
-
 def test_calibrate_round_trip():
     sigma = accounting.calibrate_noise(8.0, 1e-5, 0.01, 1000)
     achieved = accounting.epsilon(
@@ -319,7 +308,13 @@ def test_privacy_spec_invariants():
 
 
 def test_mf_epsilon_identity_matches_analytic():
-    eps = accounting.mf_epsilon(mf.IDENTITY, 2.0, 1e-5, 16)
+    # The identity strategy is DP-SGD's i.i.d. noise: stddev sigma * clip,
+    # bit for bit.
+    for sigma, clip in [(2.0, 1.0), (0.7, 3.3), (5.381030807963843, 10.0), (0.0, 0.1)]:
+        assert accounting.banded_noise_stddev(mf.IDENTITY, sigma, clip, 16) == sigma * clip
+    stddev = accounting.banded_noise_stddev(mf.IDENTITY, 2.0, 1.0, 16)
+    recovered_ratio = stddev / (1.0 * mf.sensitivity(mf.IDENTITY, 16))
+    eps = accounting.analytic_gaussian_epsilon(recovered_ratio, 1e-5)
     assert eps == pytest.approx(accounting.analytic_gaussian_epsilon(2.0, 1e-5))
 
 
@@ -330,8 +325,8 @@ def test_mf_epsilon_sensitivity_scaling():
     s_double = mf.Strategy((1.0, math.sqrt(3.0)))  # sensitivity 2
     assert mf.sensitivity(s_double, 16) == pytest.approx(2.0)
     ratio_small = stddev / (1.0 * mf.sensitivity(s_double, 16))
-    eps_big = accounting.mf_epsilon(s_double, ratio_small, 1e-5, 16)
-    eps_base = accounting.mf_epsilon(mf.IDENTITY, 2.0, 1e-5, 16)
+    eps_big = accounting.analytic_gaussian_epsilon(ratio_small, 1e-5)
+    eps_base = accounting.analytic_gaussian_epsilon(stddev / mf.sensitivity(mf.IDENTITY, 16), 1e-5)
     assert eps_big > eps_base
 
 
@@ -342,7 +337,7 @@ def test_mf_epsilon_banded_composition():
     stddev = accounting.banded_noise_stddev(s, 2.0, 1.0, 8)
     assert stddev == pytest.approx(2.0 * math.sqrt(1.25))
     recovered_ratio = stddev / (1.0 * mf.sensitivity(s, 8))
-    assert accounting.mf_epsilon(s, recovered_ratio, 1e-5, 8) == pytest.approx(
+    assert accounting.analytic_gaussian_epsilon(recovered_ratio, 1e-5) == pytest.approx(
         accounting.analytic_gaussian_epsilon(2.0, 1e-5)
     )
 

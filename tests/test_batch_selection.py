@@ -129,15 +129,6 @@ def test_shuffled_drops_partial_batch():
     assert len(batches) == 4
 
 
-def test_amplification_flags():
-    assert _plan().amplification_valid
-    assert _plan(strategy=bs.CYCLIC_POISSON).amplification_valid
-    shuffled = _plan(strategy=bs.SHUFFLED_FIXED, batch_size=5, sampling_prob=None)
-    assert not shuffled.amplification_valid
-    assert "invalid" in shuffled.privacy_warning
-    assert _plan().privacy_warning is None
-
-
 def test_expected_batch_size_is_q_n_or_b():
     assert _plan(n=2000, sampling_prob=0.1).expected_batch_size == 0.1 * 2000
     assert _plan(strategy=bs.CYCLIC_POISSON, n=2000,

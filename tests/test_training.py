@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,42 @@ def test_banded_mf_requires_single_participation_plan():
         training.config_from_dict(raw)
     raw["steps"] = 10
     assert training.config_from_dict(raw).mechanism == "banded-mf"
+
+
+_BATCHES = {
+    "poisson": {"strategy": "poisson", "sampling_prob": 0.1},
+    "cyclic-poisson": {"strategy": "cyclic-poisson", "sampling_prob": 0.1},
+    "shuffled-fixed": {"strategy": "shuffled-fixed", "batch_size": 30},
+}
+# (mechanism, batch strategy) -> the assumption a refusal names, or None when
+# the mechanism's accounting holds under that strategy.
+_POLICY_MATRIX = {
+    ("dpsgd", "poisson"): None,
+    ("dpsgd", "cyclic-poisson"): None,
+    ("dpsgd", "shuffled-fixed"): "privacy amplified by Poisson subsampling",
+    ("banded-mf", "poisson"): "single participation",
+    ("banded-mf", "cyclic-poisson"): None,
+    ("banded-mf", "shuffled-fixed"): "single participation",
+    ("none", "poisson"): None,
+    ("none", "cyclic-poisson"): None,
+    ("none", "shuffled-fixed"): None,
+}
+
+
+@pytest.mark.parametrize("mechanism,strategy", _POLICY_MATRIX,
+                         ids=[f"{m}-{s}" for m, s in _POLICY_MATRIX])
+def test_policy_matrix(mechanism, strategy):
+    raw = _cfg_dict(mechanism=mechanism, batch=_BATCHES[strategy], steps=10,
+                    mf={"bands": 2, "opt_iters": 20})
+    if mechanism == "none":
+        raw.pop("privacy")
+        raw.pop("clip")
+    assumption = _POLICY_MATRIX[mechanism, strategy]
+    if assumption is None:
+        assert training.config_from_dict(raw).batch.strategy == strategy
+    else:
+        with pytest.raises(training.PolicyError, match=f"assumes {assumption}"):
+            training.config_from_dict(raw)
 
 
 def test_train_report_deterministic(tmp_path):
@@ -532,16 +569,34 @@ _EARLY_ERRORS = {
     "steps-bool": ("train", {"steps": True}),
     "missing-config": ("missing-config", {}),
     "missing-sigma-from": ("missing-sigma-from", {}),
+    "train-sampling-prob-0": ("train", {"batch": {"strategy": "poisson", "sampling_prob": 0.0}}),
+    "calibrate-sampling-prob-0": ("calibrate", {
+        "privacy": {"target_epsilon": 1.0, "delta": 1e-5},
+        "batch": {"strategy": "poisson", "sampling_prob": 0.0},
+    }),
+}
+# Malformed dataset files, each bad on line 3; _run_cli writes the one a
+# config names under tmp_path.
+_CSV_FILES = {
+    "non-numeric.csv": "x0,y\n1.0,1\nabc,0\n",
+    "short-row.csv": "x0,x1,y\n1.0,2.0,1\n3.0,0\n",
 }
 _BAD_CONFIGS = {
     **_EARLY_ERRORS,
     "missing-dataset-path": ("train", {"dataset": {"source": "csv",
                                                    "path": "no-such-dataset.csv"}}),
     "label-flip-canaries-not-below-n": ("audit", {"audit": {"num_canaries": 300}}),
+    **{f"csv-{name[:-4]}": ("train", {"dataset": {"source": "csv", "path": name}})
+       for name in _CSV_FILES},
 }
 
 
 def _run_cli(tmp_path, command, overrides):
+    dataset = overrides.get("dataset", {})
+    if dataset.get("path") in _CSV_FILES:
+        path = tmp_path / dataset["path"]
+        path.write_text(_CSV_FILES[dataset["path"]])
+        overrides = {**overrides, "dataset": {**dataset, "path": str(path)}}
     argv = [command, "--config", _write_cfg(tmp_path, _cfg_dict(**overrides))]
     if command == "sigma-from":
         cal_path = tmp_path / "cal.json"
@@ -572,3 +627,11 @@ def test_cli_field_errors_precede_the_dataset(tmp_path, monkeypatch, capsys, com
     with pytest.raises(AssertionError, match="the dataset was built"):
         _run_cli(tmp_path, "train", {})
     assert _run_cli(tmp_path, command, overrides) == 2
+
+
+@pytest.mark.parametrize("name", _CSV_FILES)
+def test_csv_malformed_row_names_file_and_line(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(_CSV_FILES[name])
+    with pytest.raises(training.ConfigError, match=re.escape(f"csv dataset {path} line 3: ")):
+        training.load_csv_dataset(str(path), "regression")

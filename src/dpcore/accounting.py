@@ -56,8 +56,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr
 
-from . import matrix_factorization
-
 DEFAULT_ORDERS = tuple(range(2, 513))
 
 
@@ -346,23 +344,3 @@ def calibrate_mf_noise(target_epsilon: float, delta: float) -> float:
         target_epsilon, lambda sigma: _analytic_delta(target_epsilon, sigma), delta, 1e-6
     )
 
-
-def banded_noise_stddev(
-    strategy: matrix_factorization.Strategy,
-    noise_multiplier: float,
-    clip_norm: float,
-    n: int,
-) -> float:
-    """Fresh-noise stddev that makes a banded mechanism sigma-calibrated.
-
-    The correlated mechanism's effective noise-to-sensitivity ratio equals
-    noise_multiplier exactly when the fresh noise Z has stddev
-    noise_multiplier * clip_norm * sensitivity(strategy, n). Under single
-    participation the stacked mechanism is then one Gaussian release, whose
-    epsilon is :func:`analytic_gaussian_epsilon` at noise_multiplier.
-    """
-    if noise_multiplier < 0:
-        raise ValueError("noise_multiplier must be non-negative")
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
-    return noise_multiplier * clip_norm * matrix_factorization.sensitivity(strategy, n)

@@ -27,7 +27,6 @@ bound's assumptions without an extra tracked parameter.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import Optional, Sequence
 
@@ -35,24 +34,18 @@ import numpy as np
 import scipy.stats
 
 from . import prng, training
-from .models import Dataset, GradientVector, Model, batch_grads, batch_losses
+from .models import Dataset, GradientVector, Model, batch_losses
 
 LABEL_FLIP = "label-flip"
-GRADIENT_DIRECTION = "gradient-direction"
 
 
 @dataclasses.dataclass(frozen=True)
 class CanarySet:
     """Crafted canary examples and their secret inclusion bits."""
 
-    kind: str
     included: np.ndarray  # (m,) bool
     features: np.ndarray  # (m, d)
     labels: np.ndarray  # (m,)
-
-    @property
-    def m(self) -> int:
-        return self.labels.shape[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,8 +65,8 @@ class AuditConfig:
     def __post_init__(self):
         if self.num_canaries < 1:
             raise ValueError("num_canaries must be at least 1")
-        if self.kind not in (LABEL_FLIP, GRADIENT_DIRECTION):
-            raise ValueError(f"unknown canary kind {self.kind!r}")
+        if self.kind != LABEL_FLIP:
+            raise ValueError(f"unknown canary kind {self.kind!r}; the only kind is {LABEL_FLIP}")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must be in (0, 1)")
         if self.one_run_guesses is not None and self.one_run_guesses < 0:
@@ -109,71 +102,40 @@ class AuditReport:
         }
 
 
-def assign_canaries(
-    m: int, kind: str, dataset: Dataset, key: prng.PrngKey
-) -> CanarySet:
-    """Crafts m canaries from a base dataset with fair-coin inclusion bits.
+def assign_canaries(m: int, dataset: Dataset, key: prng.PrngKey) -> CanarySet:
+    """Crafts m label-flip canaries with fair-coin inclusion bits.
 
-    Label-flip canaries are the last m examples of the dataset with their
-    labels flipped; callers must hold that tail out of training (run_audit
-    does). Gradient-direction canaries are synthetic unit-norm feature
-    vectors in random directions with label 1, so each one's gradient at a
-    near-zero init points (approximately) along a fixed random direction.
+    The canaries are the last m examples of the dataset with their labels
+    flipped; callers must hold that tail out of training (run_audit does).
 
     Args:
-      m: Number of canaries, at least 1.
-      kind: "label-flip" or "gradient-direction".
-      dataset: Source of held-out examples (label-flip) and of the feature
-        dimension (gradient-direction).
-      key: Dedicated key for inclusion bits and canary payloads.
+      m: Number of canaries, at least 1 and at most the dataset size.
+      dataset: Source of the held-out examples.
+      key: Dedicated key for the inclusion bits.
 
     Returns:
       A CanarySet with i.i.d. fair-coin inclusion bits.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if kind not in (LABEL_FLIP, GRADIENT_DIRECTION):
-        raise ValueError(f"unknown canary kind {kind!r}")
-    bits_key, payload_key = prng.split(key, 2)
-    included = prng.uniform(bits_key, m) < 0.5
-
-    if kind == LABEL_FLIP:
-        if m > dataset.size:
-            raise ValueError(f"m={m} exceeds dataset size {dataset.size}")
-        features = dataset.features[dataset.size - m :].copy()
-        source = dataset.labels[dataset.size - m :]
-        labels = 1.0 - source if dataset.task == "binary-classification" else -source
-    else:
-        d = dataset.feature_dim
-        features = prng.gaussian(payload_key, m * d, 1.0).reshape(m, d)
-        features /= np.linalg.norm(features, axis=1, keepdims=True)
-        labels = np.ones(m)
-    return CanarySet(kind=kind, included=included, features=features, labels=labels)
+    if m > dataset.size:
+        raise ValueError(f"m={m} exceeds dataset size {dataset.size}")
+    included = prng.uniform(prng.fold_in(key, 0), m) < 0.5
+    features = dataset.features[dataset.size - m :].copy()
+    source = dataset.labels[dataset.size - m :]
+    labels = 1.0 - source if dataset.task == "binary-classification" else -source
+    return CanarySet(included=included, features=features, labels=labels)
 
 
 def score_canaries(
-    model: Model,
-    final_params: GradientVector,
-    canaries: CanarySet,
-    init_params: Optional[GradientVector] = None,
+    model: Model, final_params: GradientVector, canaries: CanarySet
 ) -> np.ndarray:
     """Attack scores; higher means "more likely included".
 
-    Label-flip: negative loss of the canary under the final model (an
-    included canary's flipped label was trained on, lowering its loss).
-    Gradient-direction: inner product of the parameter displacement with the
-    canary's descent direction at init (requires init_params).
+    The score is the negative loss of the canary under the final model: an
+    included canary's flipped label was trained on, lowering its loss.
     """
-    if canaries.kind == LABEL_FLIP:
-        return -batch_losses(model, final_params, canaries.features, canaries.labels)
-    if init_params is None:
-        raise ValueError("gradient-direction scoring requires init_params")
-    grads = batch_grads(model, init_params, canaries.features, canaries.labels)
-    norms = np.linalg.norm(grads, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    directions = -grads / norms
-    displacement = final_params.values - init_params.values
-    return directions @ displacement
+    return -batch_losses(model, final_params, canaries.features, canaries.labels)
 
 
 def _clopper_pearson_upper(k: int, n: int, confidence: float) -> float:
@@ -297,17 +259,14 @@ def run_audit(
         )
     base = training.build_dataset(cfg)
     m = audit.num_canaries
-    if audit.kind == LABEL_FLIP and m >= base.size:
+    if m >= base.size:
         raise training.ConfigError(
             f"label-flip num_canaries ({m}) must be smaller than the dataset ({base.size})"
         )
     root = prng.seed(cfg.seed)
-    canaries = assign_canaries(m, audit.kind, base, prng.fold_in(root, 4))
+    canaries = assign_canaries(m, base, prng.fold_in(root, 4))
 
-    if audit.kind == LABEL_FLIP:
-        keep = base.size - m
-    else:
-        keep = base.size
+    keep = base.size - m
     train_dataset = Dataset(
         np.concatenate([base.features[:keep], canaries.features[canaries.included]]),
         np.concatenate([base.labels[:keep], canaries.labels[canaries.included]]),
@@ -315,9 +274,7 @@ def run_audit(
     )
 
     outcome = training.run_training(cfg, train_dataset)
-    scores = score_canaries(
-        cfg.model, outcome.final_params, canaries, init_params=outcome.initial_params
-    )
+    scores = score_canaries(cfg.model, outcome.final_params, canaries)
 
     delta = cfg.privacy.delta if cfg.privacy is not None else 1e-5
     eps_theory = outcome.report["achieved_epsilon"]
@@ -358,7 +315,5 @@ def run_audit(
         passed=bool(passed),
     )
     if audit.report_path:
-        with open(audit.report_path, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        training.write_report(report.to_json_dict(), audit.report_path)
     return report

@@ -61,12 +61,10 @@ def _load_config(args) -> tuple[training.RunConfig, Optional[auditing.AuditConfi
 def _cmd_train(args) -> int:
     cfg, _ = _load_config(args)
     outcome = training.train(cfg)
-    text = training.report_json(outcome.report)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        training.write_report(outcome.report, args.output)
     if not cfg.report_path and not args.output:
-        print(text)
+        print(training.report_json(outcome.report))
     else:
         eps = outcome.report["achieved_epsilon"]
         print(
@@ -88,11 +86,9 @@ def _cmd_calibrate(args) -> int:
         "steps": cfg.steps,
         "mechanism": cfg.mechanism,
     }
-    text = json.dumps(result, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        training.write_report(result, args.output)
+    print(training.report_json(result))
     return EXIT_OK
 
 
@@ -115,7 +111,7 @@ def _cmd_audit(args) -> int:
     if audit is None:
         raise training.ConfigError("audit requires an 'audit' section in the config")
     report = auditing.run_audit(cfg, audit)
-    print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+    print(training.report_json(report.to_json_dict()))
     if args.enforce and not report.passed:
         return EXIT_AUDIT_FAILED
     return EXIT_OK

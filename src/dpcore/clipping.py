@@ -21,8 +21,9 @@ accumulates in batch order; the microbatch size bounds the live rows and
 never changes the result.
 
 The returned sum carries its sensitivity (the clip norm, under add/remove
-adjacency of one example or one group) so noise calibration downstream can
-be checked against the mechanism configuration instead of trusted.
+adjacency of one example or one group), and the privatizer scales its noise
+by that attached value, so the noise cannot drift from the clipping that
+bounds it.
 
 Non-finite per-unit gradients are replaced by the zero vector and counted;
 a zero vector lies inside every clip ball, so the sensitivity bound is

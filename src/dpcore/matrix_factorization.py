@@ -18,6 +18,7 @@ whole class of derivation bugs; the result is never worse than identity.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -48,6 +49,16 @@ class Strategy:
     def bands(self) -> int:
         return len(self.coefficients)
 
+    @functools.cached_property
+    def sensitivity(self) -> float:
+        """Maximum column L2 norm of the strategy matrix C, over any n >= bands.
+
+        Every full column of a banded Toeplitz C holds all the coefficients,
+        so this is the L2 norm of the coefficient vector. It is computed once
+        per strategy, since the privatizer reads it on every step.
+        """
+        return float(np.linalg.norm(np.asarray(self.coefficients)))
+
 
 IDENTITY = Strategy((1.0,))
 
@@ -59,19 +70,8 @@ def prefix_workload(n: int) -> Workload:
     return Workload(n)
 
 
-def sensitivity(s: Strategy, n: int) -> float:
-    """Maximum column L2 norm of the n x n strategy matrix.
-
-    For banded Toeplitz matrices with n >= bands every full column has the
-    same norm, so this is simply the L2 norm of the coefficient vector.
-    """
-    if n < s.bands:
-        raise ValueError(f"n={n} is smaller than the strategy band count {s.bands}")
-    return float(np.linalg.norm(np.asarray(s.coefficients)))
-
-
 def expected_error(w: Workload, s: Strategy) -> float:
-    """Total squared error ||A C^{-1}||_F^2 * sensitivity(C)^2.
+    """Total squared error ||A C^{-1}||_F^2 * sensitivity(C)^2, for n >= bands.
 
     The last row of C^{-1} solves C^T x = e_{n-1} (C^T is upper-banded with
     c_k on superdiagonal k) and is the first column r of C^{-1} reversed.
@@ -79,6 +79,8 @@ def expected_error(w: Workload, s: Strategy) -> float:
     result is reported as an infinite error, not a warning.
     """
     n, u = w.n, s.bands - 1
+    if n < s.bands:
+        raise ValueError(f"n={n} is smaller than the strategy band count {s.bands}")
     ab = np.zeros((s.bands, n))
     for k, c in enumerate(s.coefficients):
         ab[u - k, k:] = c
@@ -86,7 +88,7 @@ def expected_error(w: Workload, s: Strategy) -> float:
     last[-1] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         first_column = np.cumsum(scipy.linalg.solve_banded((0, u), ab, last)[::-1])
-        error = float(np.arange(n, 0, -1) @ first_column**2) * sensitivity(s, n) ** 2
+        error = float(np.arange(n, 0, -1) @ first_column**2) * s.sensitivity**2
     return error if math.isfinite(error) else math.inf
 
 

@@ -1,15 +1,17 @@
 """Noise addition behind a uniform stateful-update interface.
 
-A privatizer adds banded correlated noise. With band coefficients
-c_0 = 1, c_1..c_{b-1} defining a unit-diagonal banded lower-triangular
-Toeplitz matrix C, the emitted noise solves C z~ = z for fresh i.i.d. z by
-forward substitution, keeping only the last b-1 emitted vectors in memory.
-The i.i.d. Gaussian mechanism of DP-SGD is the one-band case,
-coefficients (1.0,): it emits the fresh noise exactly and keeps nothing.
+A privatizer adds banded correlated noise. Its strategy's coefficients
+c_0 = 1, c_1..c_{b-1} define a unit-diagonal banded lower-triangular
+Toeplitz matrix C, and the emitted noise solves C z~ = z for fresh i.i.d. z
+by forward substitution, keeping only the last b-1 emitted vectors in
+memory. The i.i.d. Gaussian mechanism of DP-SGD is the one-band identity
+strategy: it emits the fresh noise exactly and keeps nothing.
 
-A privatizer records the sensitivity it was calibrated for and refuses
-inputs whose attached sensitivity disagrees; this is the configuration
-drift the attached-sensitivity design exists to catch.
+The noise scale has one home, :func:`privatize`: the fresh noise has
+stddev sigma * C * ||c||, with the noise multiplier sigma the privatizer's
+one free value, the clip norm C read from the sensitivity attached to the
+sum being noised, and ||c|| the strategy's sensitivity. Noise therefore
+cannot disagree with the sensitivity of the sum it is added to.
 
 States are immutable values and ``privatize`` is pure: replaying the same
 (privatizer, input, state) yields identical output. An empty-batch input
@@ -23,13 +25,9 @@ import math
 
 import numpy as np
 
-from . import prng
+from . import matrix_factorization, prng
 from .clipping import ClippedGradientSum
 from .models import GradientVector, Layout
-
-
-class SensitivityMismatchError(ValueError):
-    """Noise calibration disagrees with the mechanism's attached sensitivity."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,27 +35,20 @@ class Privatizer:
     """A noise-addition transformation.
 
     Attributes:
-      noise_stddev: Total standard deviation of the fresh noise injected per
-        step, i.e. noise multiplier times the sensitivity the mechanism was
-        calibrated for (times the strategy sensitivity for banded noise).
-      sensitivity: The sensitivity this privatizer's noise was calibrated
-        for; checked against every input.
-      coefficients: Band coefficients c_0..c_{b-1} with c_0 = 1, the
-        normalization ``matrix_factorization.Strategy`` enforces. The
-        default (1.0,) is i.i.d. Gaussian noise.
+      noise_multiplier: sigma; the fresh noise's stddev is sigma times the
+        noised sum's attached sensitivity times the strategy's sensitivity.
+      strategy: The banded strategy whose correlated noise is added; the
+        default, the identity, is i.i.d. Gaussian noise.
     """
 
-    noise_stddev: float
-    sensitivity: float
-    coefficients: tuple[float, ...] = (1.0,)
+    noise_multiplier: float
+    strategy: matrix_factorization.Strategy = matrix_factorization.IDENTITY
 
     def __post_init__(self):
-        if self.noise_stddev < 0:
-            raise ValueError(f"noise_stddev must be non-negative, got {self.noise_stddev}")
-        if self.sensitivity <= 0:
-            raise ValueError(f"sensitivity must be positive, got {self.sensitivity}")
-        if not self.coefficients or self.coefficients[0] != 1.0:
-            raise ValueError("band coefficients must start with c_0 = 1")
+        if not self.noise_multiplier >= 0:
+            raise ValueError(
+                f"noise_multiplier must be non-negative, got {self.noise_multiplier}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,7 +56,7 @@ class PrivatizerState:
     """Streaming state: step index, key chain, and the band ring buffer.
 
     The buffer holds the most recent correlated noise vectors, newest first,
-    and never exceeds len(coefficients) - 1 entries.
+    and never exceeds bands - 1 entries.
     """
 
     step: int
@@ -86,31 +77,29 @@ def privatize(
 
     Args:
       p: The privatizer.
-      csum: A clipped sum whose attached sensitivity must equal the
-        sensitivity ``p`` was calibrated for.
+      csum: A clipped sum; its attached sensitivity scales the noise.
       state: Current streaming state.
 
     Returns:
-      (noisy sum, next state). With noise_stddev 0 the sum passes through
-      exactly.
+      (noisy sum, next state). With noise multiplier 0 the sum passes
+      through exactly.
 
     Raises:
-      SensitivityMismatchError: calibration/configuration drift.
-      ValueError: layout mismatch between input and state.
+      ValueError: the attached sensitivity is not positive and finite, or
+        the input's layout does not match the state's.
     """
     if csum.sum.layout != state.layout:
         raise ValueError("input layout does not match privatizer state layout")
-    if not math.isclose(p.sensitivity, csum.sensitivity, rel_tol=1e-12, abs_tol=0.0):
-        raise SensitivityMismatchError(
-            f"privatizer calibrated for sensitivity {p.sensitivity} but input "
-            f"has sensitivity {csum.sensitivity}; noise scale would not match "
-            "the mechanism configuration"
+    if not 0.0 < csum.sensitivity < math.inf:
+        raise ValueError(
+            f"attached sensitivity must be positive and finite, got {csum.sensitivity}"
         )
     step_key, carry_key = prng.split(state.key, 2)
     dim = state.layout.total_length
-    fresh = prng.gaussian(step_key, dim, p.noise_stddev)
+    stddev = p.noise_multiplier * csum.sensitivity * p.strategy.sensitivity
+    fresh = prng.gaussian(step_key, dim, stddev)
 
-    c = p.coefficients
+    c = p.strategy.coefficients
     emitted = fresh
     for c_j, prev in zip(c[1:], state.buffer):
         emitted = emitted - c_j * prev

@@ -25,7 +25,8 @@ steps and the dataset. The privacy policy lives here and nowhere else: a
 configuration outside :data:`POLICY` never starts training. The few checks
 that need the dataset's size or width run once it is built, still before
 step 1. DP-SGD noise is the one-band (identity) case of banded noise, so
-every privatizer is built one way, by :func:`_privatizer`.
+every privatizer is built one way, from its noise multiplier and strategy;
+the privatizer reads the clip norm from the sum it noises.
 
 The benchmark harness measures throughput as total examples processed
 divided by total wall time, after warmup, sweeping batch sizes in powers of
@@ -312,15 +313,7 @@ def validate_config(cfg: RunConfig) -> None:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Materializes the config, defaults included, for the report echo."""
-
-    def scrub(obj):
-        if dataclasses.is_dataclass(obj):
-            return {k: scrub(v) for k, v in dataclasses.asdict(obj).items()}
-        if isinstance(obj, tuple):
-            return [scrub(v) for v in obj]
-        return obj
-
-    return scrub(cfg)
+    return dataclasses.asdict(cfg)
 
 
 def synthesize_dataset(
@@ -398,7 +391,6 @@ def build_dataset(cfg: RunConfig) -> Dataset:
 class TrainOutcome:
     """Everything a caller may need from a finished run."""
 
-    initial_params: GradientVector
     final_params: GradientVector
     report: dict
 
@@ -435,15 +427,6 @@ def _private_noise(cfg: RunConfig) -> tuple[float, matrix_factorization.Strategy
     return sigma, strategy, achieved
 
 
-def _privatizer(strategy, sigma, clip, steps) -> Privatizer:
-    """The privatizer adding ``strategy``'s noise at multiplier ``sigma`` over ``steps`` steps."""
-    return Privatizer(
-        noise_stddev=accounting.banded_noise_stddev(strategy, sigma, clip.clip_norm, steps),
-        sensitivity=clip.clip_norm,
-        coefficients=strategy.coefficients,
-    )
-
-
 def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
     """Runs the training loop on an already-built dataset.
 
@@ -466,12 +449,11 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
     init_key, batch_key, noise_key = (prng.fold_in(root, i) for i in (1, 2, 3))
 
     params = init_params(model, init_key)
-    initial_params = params
 
     sigma = strategy = achieved = priv = priv_state = None
     if cfg.mechanism != "none":
         sigma, strategy, achieved = _private_noise(cfg)
-        priv = _privatizer(strategy, sigma, cfg.clip, cfg.steps)
+        priv = Privatizer(sigma, strategy)
         priv_state = privatizer_init(priv, params.layout, noise_key)
     optimized = strategy if cfg.mechanism == "banded-mf" else None
 
@@ -526,7 +508,7 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
             "seconds_per_step": elapsed / cfg.steps,
         },
     }
-    return TrainOutcome(initial_params=initial_params, final_params=params, report=report)
+    return TrainOutcome(final_params=params, report=report)
 
 
 def train_step(model, dataset, batch_idx, params, opt_state, priv_state, *,
@@ -666,8 +648,7 @@ def _benchmark_cell(cfg, model, dataset, mechanism, batch_size, clip, sigma):
     priv = None
     priv_state = None
     if mechanism == "dpsgd":
-        steps = cfg.benchmark.warmup_steps + cfg.benchmark.measured_steps
-        priv = _privatizer(matrix_factorization.IDENTITY, sigma, clip, steps)
+        priv = Privatizer(sigma)
         priv_state = privatizer_init(priv, params.layout, prng.fold_in(root, 3))
     opt_state = None
     n = dataset.size

@@ -184,9 +184,10 @@ def test_criterion_06_correlated_noise_equivalence():
         bands = int(rng.integers(1, 9))
         steps = int(rng.integers(bands, 65))
         coefs = _random_stable_coefficients(rng, bands)
-        stddev = float(rng.uniform(0.5, 2.0))
+        sigma = float(rng.uniform(0.5, 2.0))
+        stddev = sigma * np.sqrt(np.sum(np.square(coefs)))  # attached sensitivity 1
         layout = models.Layout((("x", 0, 3),))
-        p = pz.Privatizer(noise_stddev=stddev, sensitivity=1.0, coefficients=coefs)
+        p = pz.Privatizer(sigma, mf.Strategy(coefs))
         key = prng.seed(6000 + trial)
         state = pz.init(p, layout, key)
         zero = clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0)
@@ -207,7 +208,7 @@ def test_criterion_06_correlated_noise_equivalence():
     # b=1 bitwise reduction to gaussian: the i.i.d. stream, replayed here
     layout = models.Layout((("x", 0, 5),))
     zero = clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0)
-    b = pz.Privatizer(noise_stddev=1.1, sensitivity=1.0, coefficients=(1.0,))
+    b = pz.Privatizer(1.1, mf.Strategy((1.0,)))
     sb = pz.init(b, layout, prng.seed(1))
     k = prng.seed(1)
     bitwise = True
@@ -293,7 +294,7 @@ def test_criterion_09_edge_case_dp_safety():
     )
     # a pure-noise step moves the parameters
     layout = models.Layout((("x", 0, 4),))
-    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
+    p = pz.Privatizer(1.0)
     out, _ = pz.privatize(
         p,
         clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0),

@@ -308,12 +308,12 @@ def test_privacy_spec_invariants():
 
 
 def test_mf_epsilon_identity_matches_analytic():
-    # The identity strategy is DP-SGD's i.i.d. noise: stddev sigma * clip,
-    # bit for bit.
+    # The identity strategy is DP-SGD's i.i.d. noise: the privatizer's scale
+    # sigma * clip * ||c|| is sigma * clip, bit for bit.
     for sigma, clip in [(2.0, 1.0), (0.7, 3.3), (5.381030807963843, 10.0), (0.0, 0.1)]:
-        assert accounting.banded_noise_stddev(mf.IDENTITY, sigma, clip, 16) == sigma * clip
-    stddev = accounting.banded_noise_stddev(mf.IDENTITY, 2.0, 1.0, 16)
-    recovered_ratio = stddev / (1.0 * mf.sensitivity(mf.IDENTITY, 16))
+        assert sigma * clip * mf.IDENTITY.sensitivity == sigma * clip
+    stddev = 2.0 * 1.0 * mf.IDENTITY.sensitivity
+    recovered_ratio = stddev / (1.0 * mf.IDENTITY.sensitivity)
     eps = accounting.analytic_gaussian_epsilon(recovered_ratio, 1e-5)
     assert eps == pytest.approx(accounting.analytic_gaussian_epsilon(2.0, 1e-5))
 
@@ -321,12 +321,12 @@ def test_mf_epsilon_identity_matches_analytic():
 def test_mf_epsilon_sensitivity_scaling():
     # Doubling the strategy sensitivity at a fixed fresh-noise stddev halves
     # the effective ratio, which strictly increases epsilon.
-    stddev = accounting.banded_noise_stddev(mf.IDENTITY, 2.0, 1.0, 16)
+    stddev = 2.0 * 1.0 * mf.IDENTITY.sensitivity
     s_double = mf.Strategy((1.0, math.sqrt(3.0)))  # sensitivity 2
-    assert mf.sensitivity(s_double, 16) == pytest.approx(2.0)
-    ratio_small = stddev / (1.0 * mf.sensitivity(s_double, 16))
+    assert s_double.sensitivity == pytest.approx(2.0)
+    ratio_small = stddev / (1.0 * s_double.sensitivity)
     eps_big = accounting.analytic_gaussian_epsilon(ratio_small, 1e-5)
-    eps_base = accounting.analytic_gaussian_epsilon(stddev / mf.sensitivity(mf.IDENTITY, 16), 1e-5)
+    eps_base = accounting.analytic_gaussian_epsilon(stddev / mf.IDENTITY.sensitivity, 1e-5)
     assert eps_big > eps_base
 
 
@@ -334,9 +334,9 @@ def test_mf_epsilon_banded_composition():
     # With fresh-noise stddev sigma * clip * sens(C), the banded mechanism's
     # epsilon equals the plain analytic Gaussian epsilon at ratio sigma.
     s = mf.Strategy((1.0, -0.5))
-    stddev = accounting.banded_noise_stddev(s, 2.0, 1.0, 8)
+    stddev = 2.0 * 1.0 * s.sensitivity
     assert stddev == pytest.approx(2.0 * math.sqrt(1.25))
-    recovered_ratio = stddev / (1.0 * mf.sensitivity(s, 8))
+    recovered_ratio = stddev / (1.0 * s.sensitivity)
     assert accounting.analytic_gaussian_epsilon(recovered_ratio, 1e-5) == pytest.approx(
         accounting.analytic_gaussian_epsilon(2.0, 1e-5)
     )

@@ -13,7 +13,7 @@ def _base_dataset(n=60, d=4, seed=3):
 
 def test_inclusion_bits_fair_coin():
     ds = _base_dataset(n=1200)
-    cs = auditing.assign_canaries(1000, auditing.LABEL_FLIP, ds, prng.seed(0))
+    cs = auditing.assign_canaries(1000, ds, prng.seed(0))
     count = int(np.sum(cs.included))
     lo, hi = scipy.stats.binom.interval(0.999, 1000, 0.5)
     assert lo <= count <= hi
@@ -21,8 +21,8 @@ def test_inclusion_bits_fair_coin():
 
 def test_assignment_deterministic():
     ds = _base_dataset()
-    a = auditing.assign_canaries(20, auditing.LABEL_FLIP, ds, prng.seed(5))
-    b = auditing.assign_canaries(20, auditing.LABEL_FLIP, ds, prng.seed(5))
+    a = auditing.assign_canaries(20, ds, prng.seed(5))
+    b = auditing.assign_canaries(20, ds, prng.seed(5))
     assert np.array_equal(a.included, b.included)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
@@ -30,22 +30,14 @@ def test_assignment_deterministic():
 
 def test_label_flip_changes_label():
     ds = _base_dataset(n=30)
-    cs = auditing.assign_canaries(10, auditing.LABEL_FLIP, ds, prng.seed(1))
+    cs = auditing.assign_canaries(10, ds, prng.seed(1))
     assert np.all(cs.labels != ds.labels[-10:])
     assert np.array_equal(cs.features, ds.features[-10:])
 
 
-def test_gradient_direction_canaries_unit_norm():
-    ds = _base_dataset()
-    cs = auditing.assign_canaries(15, auditing.GRADIENT_DIRECTION, ds, prng.seed(2))
-    assert cs.features.shape == (15, 4)
-    np.testing.assert_allclose(np.linalg.norm(cs.features, axis=1), 1.0, rtol=1e-6)
-    assert np.all(cs.labels == 1.0)
-
-
 def test_scores_deterministic():
     ds = _base_dataset()
-    cs = auditing.assign_canaries(12, auditing.LABEL_FLIP, ds, prng.seed(4))
+    cs = auditing.assign_canaries(12, ds, prng.seed(4))
     m = models.Model(kind="logistic", input_dim=4)
     params = models.init_params(m, prng.seed(9))
     s1 = auditing.score_canaries(m, params, cs)
@@ -57,7 +49,7 @@ def test_null_experiment_scores_indistinguishable():
     # Untrained params: scores carry no membership information, so the
     # included and excluded populations look alike.
     ds = _base_dataset(n=600, d=6, seed=8)
-    cs = auditing.assign_canaries(400, auditing.LABEL_FLIP, ds, prng.seed(3))
+    cs = auditing.assign_canaries(400, ds, prng.seed(3))
     m = models.Model(kind="logistic", input_dim=6)
     params = models.init_params(m, prng.seed(123))
     scores = auditing.score_canaries(m, params, cs)

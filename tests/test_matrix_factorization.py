@@ -11,12 +11,27 @@ from dpcore import clipping, matrix_factorization as mf, models, privatizer as p
 
 
 def test_sensitivity_identity():
-    assert mf.sensitivity(mf.IDENTITY, 5) == 1.0
+    assert mf.IDENTITY.sensitivity == 1.0
 
 
 def test_sensitivity_two_band():
     s = mf.Strategy((1.0, -0.5))
-    assert mf.sensitivity(s, 2) == pytest.approx(np.sqrt(1.25), rel=1e-15)
+    assert s.sensitivity == pytest.approx(np.sqrt(1.25), rel=1e-15)
+
+
+def test_sensitivity_computed_once_per_strategy(monkeypatch):
+    # The privatizer reads the strategy's sensitivity on every step.
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    s = mf.Strategy((1.0, -0.5, 0.25))
+    p = pz.Privatizer(1.0, s)
+    layout = models.Layout((("x", 0, 2),))
+    st = pz.init(p, layout, prng.seed(0))
+    zero = clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0)
+    for _ in range(5):
+        _, st = pz.privatize(p, zero, st)
+    assert len(calls) == 1
 
 
 def test_sensitivity_matches_dense_materialization(rng):
@@ -27,12 +42,13 @@ def test_sensitivity_matches_dense_materialization(rng):
         n = 12
         dense = banded_toeplitz(s.coefficients, n)
         brute = max(np.linalg.norm(dense[:, j]) for j in range(n))
-        assert abs(mf.sensitivity(s, n) - brute) < 1e-12
+        assert abs(s.sensitivity - brute) < 1e-12
 
 
 def test_sensitivity_n_below_bands_rejected():
+    # Below n = bands no column of C holds every coefficient.
     with pytest.raises(ValueError):
-        mf.sensitivity(mf.Strategy((1.0, 0.5, 0.2)), 2)
+        mf.expected_error(mf.prefix_workload(2), mf.Strategy((1.0, 0.5, 0.2)))
 
 
 def test_expected_error_identity_prefix():
@@ -44,8 +60,9 @@ def test_expected_error_n_one():
 
 
 def _dense_error(n, s):
-    b = prefix_matrix(n) @ np.linalg.inv(banded_toeplitz(s.coefficients, n))
-    return np.sum(b * b) * mf.sensitivity(s, n) ** 2
+    c = banded_toeplitz(s.coefficients, n)
+    b = prefix_matrix(n) @ np.linalg.inv(c)
+    return np.sum(b * b) * np.max(np.sum(c * c, axis=0))  # squared max column norm
 
 
 @pytest.mark.parametrize(
@@ -135,8 +152,7 @@ def test_optimized_strategy_prefix_sum_variance():
     n, trials = 16, 10**4
     w = mf.prefix_workload(n)
     s = mf.optimize_banded(w, 3, iters=80)
-    stddev = mf.sensitivity(s, n)  # noise multiplier 1, clip norm 1
-    p = pz.Privatizer(noise_stddev=stddev, sensitivity=1.0, coefficients=s.coefficients)
+    p = pz.Privatizer(1.0, s)  # noise multiplier 1; the zero sum below has clip norm 1
     layout = models.Layout((("x", 0, trials),))
     st = pz.init(p, layout, prng.seed(123))
     zero = clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0)

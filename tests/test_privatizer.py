@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
 
 from conftest import banded_toeplitz
-from dpcore import clipping, models, privatizer as pz, prng
+from dpcore import clipping, matrix_factorization as mf, models, privatizer as pz, prng
 
 
 def _layout(dim):
@@ -34,8 +36,8 @@ def _replay_fresh_noise(key, steps, dim, stddev):
 
 
 def test_init_gaussian_empty_buffer():
-    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
-    assert p.coefficients == (1.0,)
+    p = pz.Privatizer(1.0)
+    assert p.strategy == mf.IDENTITY
     st = pz.init(p, _layout(3), prng.seed(0))
     assert st.step == 0 and st.buffer == ()
     _, st = pz.privatize(p, _zero_sum(_layout(3)), st)
@@ -43,7 +45,7 @@ def test_init_gaussian_empty_buffer():
 
 
 def test_init_banded_buffer_capacity():
-    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0, coefficients=(1.0, 0.5, 0.25, 0.1))
+    p = pz.Privatizer(1.0, mf.Strategy((1.0, 0.5, 0.25, 0.1)))
     st = pz.init(p, _layout(2), prng.seed(0))
     assert st.buffer == ()
     for _ in range(6):
@@ -52,15 +54,15 @@ def test_init_banded_buffer_capacity():
 
 
 def test_init_determinism():
-    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
+    p = pz.Privatizer(1.0)
     assert pz.init(p, _layout(3), prng.seed(4)) == pz.init(p, _layout(3), prng.seed(4))
 
 
-# None takes the default coefficients, the i.i.d. Gaussian mechanism.
+# None takes the default strategy, the i.i.d. Gaussian mechanism.
 @pytest.mark.parametrize("mechanism,coefs", [("gaussian", None), ("banded", (1.0, -0.5))])
 def test_zero_stddev_passthrough(mechanism, coefs):
-    band = {} if coefs is None else {"coefficients": coefs}
-    p = pz.Privatizer(noise_stddev=0.0, sensitivity=1.0, **band)
+    band = () if coefs is None else (mf.Strategy(coefs),)
+    p = pz.Privatizer(0.0, *band)
     st = pz.init(p, _layout(3), prng.seed(1))
     csum = _sum_of([1.0, -2.0, 3.0])
     out, st2 = pz.privatize(p, csum, st)
@@ -70,7 +72,7 @@ def test_zero_stddev_passthrough(mechanism, coefs):
 
 def test_banded_b1_bit_identical_to_gaussian():
     # One band emits exactly the i.i.d. Gaussian stream, replayed here.
-    p = pz.Privatizer(noise_stddev=1.3, sensitivity=1.0, coefficients=(1.0,))
+    p = pz.Privatizer(1.3, mf.Strategy((1.0,)))
     st = pz.init(p, _layout(5), prng.seed(7))
     outputs = []
     for _ in range(6):
@@ -81,8 +83,9 @@ def test_banded_b1_bit_identical_to_gaussian():
 
 def test_banded_matches_dense_solve():
     coefs = (1.0, -0.5, 0.25)
-    steps, dim, stddev = 8, 4, 1.7
-    p = pz.Privatizer(noise_stddev=stddev, sensitivity=1.0, coefficients=coefs)
+    steps, dim, sigma = 8, 4, 1.7
+    p = pz.Privatizer(sigma, mf.Strategy(coefs))
+    stddev = sigma * np.sqrt(np.sum(np.square(coefs)))  # attached sensitivity 1
     st = pz.init(p, _layout(dim), prng.seed(5))
     outputs = []
     for _ in range(steps):
@@ -104,8 +107,9 @@ def test_streaming_dense_equivalence_random_strategies(rng):
         if np.sum(np.abs(tail)) > 0.9:
             tail *= 0.9 / np.sum(np.abs(tail))
         coefs = tuple([1.0] + list(tail))
-        stddev = float(rng.uniform(0.5, 2.0))
-        p = pz.Privatizer(noise_stddev=stddev, sensitivity=1.0, coefficients=coefs)
+        sigma = float(rng.uniform(0.5, 2.0))
+        p = pz.Privatizer(sigma, mf.Strategy(coefs))
+        stddev = sigma * np.sqrt(np.sum(np.square(coefs)))
         key = prng.seed(trial)
         st = pz.init(p, _layout(dim), key)
         outputs = []
@@ -120,29 +124,57 @@ def test_streaming_dense_equivalence_random_strategies(rng):
 
 
 def test_empty_batch_emits_pure_noise():
-    p = pz.Privatizer(noise_stddev=0.5, sensitivity=1.0)
+    p = pz.Privatizer(0.5)
     st = pz.init(p, _layout(4), prng.seed(2))
     out, st2 = pz.privatize(p, _zero_sum(_layout(4)), st)
     assert np.linalg.norm(out.values) > 0.0
     assert st2.step == 1
 
 
-def test_sensitivity_mismatch_rejected():
-    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
+@pytest.mark.parametrize("coefs", [(1.0,), (1.0, -0.5, 0.25)], ids=["identity", "banded"])
+def test_noise_scales_with_attached_sensitivity(coefs):
+    # One privatizer, fed sums clipped at C = 1.0 and C = 2.5, emits the
+    # replayed Gaussian at sigma * C * ||c|| for each step's own C.
+    sigma, dim = 1.3, 4
+    clip_norms = (1.0, 2.5, 2.5, 1.0, 2.5, 1.0)
+    p = pz.Privatizer(sigma, mf.Strategy(coefs))
+    st = pz.init(p, _layout(dim), prng.seed(12))
+    outputs = []
+    for clip_norm in clip_norms:
+        out, st = pz.privatize(p, _zero_sum(_layout(dim), sensitivity=clip_norm), st)
+        outputs.append(out.values)
+    strategy_norm = np.sqrt(np.sum(np.square(coefs)))
+    key, fresh = prng.seed(12), []
+    for clip_norm in clip_norms:
+        step_key, key = prng.split(key, 2)
+        fresh.append(prng.gaussian(step_key, dim, sigma * clip_norm * strategy_norm))
+    if len(coefs) == 1:
+        assert np.array_equal(np.array(outputs), np.array(fresh))
+    else:
+        dense = scipy.linalg.solve_triangular(
+            banded_toeplitz(coefs, len(clip_norms)), np.array(fresh), lower=True
+        )
+        np.testing.assert_allclose(np.array(outputs), dense, atol=1e-10)
+
+
+@pytest.mark.parametrize("sensitivity", [0.0, -1.0, math.nan, math.inf])
+def test_bad_attached_sensitivity_rejected(sensitivity):
+    # A sum with sensitivity 0 would otherwise be released with no noise.
+    p = pz.Privatizer(1.0)
     st = pz.init(p, _layout(2), prng.seed(0))
-    with pytest.raises(pz.SensitivityMismatchError):
-        pz.privatize(p, _sum_of([1.0, 2.0], sensitivity=2.0), st)
+    with pytest.raises(ValueError, match="sensitivity"):
+        pz.privatize(p, _sum_of([1.0, 2.0], sensitivity=sensitivity), st)
 
 
 def test_layout_mismatch_rejected():
-    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0)
+    p = pz.Privatizer(1.0)
     st = pz.init(p, _layout(2), prng.seed(0))
     with pytest.raises(ValueError):
         pz.privatize(p, _sum_of([1.0, 2.0, 3.0]), st)
 
 
 def test_privatize_is_pure():
-    p = pz.Privatizer(noise_stddev=1.0, sensitivity=1.0, coefficients=(1.0, 0.3))
+    p = pz.Privatizer(1.0, mf.Strategy((1.0, 0.3)))
     st = pz.init(p, _layout(3), prng.seed(9))
     csum = _sum_of([0.5, 0.5, 0.5])
     out1, next1 = pz.privatize(p, csum, st)
@@ -155,7 +187,7 @@ def test_gaussian_noise_distribution_ks():
     # 1e5 scalar steps; per-step noise must pass a KS test against
     # N(0, stddev^2) at significance 1e-3. Seeded, so deterministic.
     stddev = 0.7
-    p = pz.Privatizer(noise_stddev=stddev, sensitivity=1.0)
+    p = pz.Privatizer(stddev)  # attached sensitivity 1, identity strategy
     layout = _layout(1)
     st = pz.init(p, layout, prng.seed(31))
     zero = _zero_sum(layout)
@@ -168,10 +200,9 @@ def test_gaussian_noise_distribution_ks():
 
 
 def test_privatizer_validation():
-    for coefs in ((), (-1.0, 0.5), (2.0, 0.5)):  # c_0 must be 1, as in a Strategy
+    for coefs in ((), (-1.0, 0.5), (2.0, 0.5)):  # c_0 must be 1, which Strategy enforces
         with pytest.raises(ValueError):
-            pz.Privatizer(noise_stddev=1.0, sensitivity=1.0, coefficients=coefs)
-    with pytest.raises(ValueError):
-        pz.Privatizer(noise_stddev=-1.0, sensitivity=1.0)
-    with pytest.raises(ValueError):
-        pz.Privatizer(noise_stddev=1.0, sensitivity=0.0)
+            pz.Privatizer(1.0, mf.Strategy(coefs))
+    for sigma in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            pz.Privatizer(sigma)

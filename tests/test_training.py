@@ -553,6 +553,8 @@ _EARLY_ERRORS = {
     "input-dim-0": ("train", {"model": {"kind": "logistic", "input_dim": 0}}),
     "eval-every-0": ("train", {"eval_every": 0}),
     "group-level-without-group-keys": ("train", {"clip": {"clip_norm": 1.0, "level": "group"}}),
+    "audit-kind-gradient-direction": ("audit", {"audit": {"num_canaries": 10,
+                                                          "kind": "gradient-direction"}}),
     "one-run-guesses-negative": ("audit", {"audit": {"num_canaries": 10,
                                                      "one_run_guesses": -1}}),
     "benchmark-measured-steps-0": ("benchmark", {"benchmark": {"measured_steps": 0,

@@ -79,7 +79,6 @@ class AuditReport:
 
     included: np.ndarray  # (m,) bool, the secret inclusion bits
     scores: np.ndarray
-    guesses: list[str]  # per canary: "in" | "out" | "abstain"
     epsilon_theory: float
     epsilon_cp: float
     epsilon_one_run: float
@@ -289,14 +288,10 @@ def run_audit(
     k = audit.one_run_guesses if audit.one_run_guesses is not None else max(1, m // 10)
     k = min(k, m // 2)
     order = np.argsort(-scores, kind="stable")
-    guesses = ["abstain"] * m
-    correct = 0
-    for idx in order[:k]:
-        guesses[idx] = "in"
-        correct += bool(canaries.included[idx])
-    for idx in order[m - k :]:
-        guesses[idx] = "out"
-        correct += not canaries.included[idx]
+    # Guess "in" for the k highest scores and "out" for the k lowest.
+    right_in = np.count_nonzero(canaries.included[order[:k]])
+    right_out = np.count_nonzero(~canaries.included[order[m - k :]])
+    correct = int(right_in + right_out)
     r = 2 * k
     eps_one_run = one_run_epsilon(r, correct, m, audit.confidence)
 
@@ -304,14 +299,13 @@ def run_audit(
     report = AuditReport(
         included=canaries.included,
         scores=scores,
-        guesses=guesses,
         epsilon_theory=float(eps_theory),
         epsilon_cp=float(eps_cp),
         epsilon_one_run=float(eps_one_run),
         confidence=audit.confidence,
         m=m,
         r=r,
-        v=int(correct),
+        v=correct,
         passed=bool(passed),
     )
     if audit.report_path:

@@ -96,13 +96,9 @@ def _cmd_benchmark(args) -> int:
     cfg, _ = _load_config(args)
     result = training.run_benchmark(cfg)
     if args.output:
-        result.to_csv(args.output)
-    writer = sys.stdout
-    for row in result.rows:
-        writer.write(
-            f"{row['record']},{row['model']},{row['params']},{row['mechanism']},"
-            f"{row['batch_size']},{row['examples_per_sec']},{row['relative_throughput']}\n"
-        )
+        with open(args.output, "w", newline="") as fh:
+            result.to_csv(fh)
+    result.to_csv(sys.stdout)
     return EXIT_OK
 
 

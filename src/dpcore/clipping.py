@@ -6,24 +6,25 @@ per-unit gradients of its rows.
 
 Example-level clipping never materializes per-example gradients. Every
 layer's per-example gradient is an outer product ``[a, 1] ⊗ g`` of factors
-from :func:`models.layer_factors`, and the L2, L1 and L∞ norms of an outer
-product are products of the factors' norms (Goodfellow 2015,
-arXiv:1510.01799). So each row's norm and clip factor f come from the
-factors, and the clipped sum is one whole-batch reduction per layer,
-``aᵀ(f⊙g)`` for the weights and ``Σ f⊙g`` for the bias (the book-keeping of
-Bu et al. 2022, arXiv:2210.00038). Memory is O(B·(d+h)) rather than O(B·P),
-and the result does not depend on the microbatch size. The non-private
-baseline, :func:`grad_sum`, is the same reduction with f = 1.
+from :func:`models.layer_factors`, and the L2 norm of an outer product is
+the product of the factors' L2 norms (Goodfellow 2015, arXiv:1510.01799).
+So each row's norm and clip factor f come from the factors, and the clipped
+sum is one whole-batch reduction per layer, ``aᵀ(f⊙g)`` for the weights and
+``Σ f⊙g`` for the bias (the book-keeping of Bu et al. 2022,
+arXiv:2210.00038). Memory is O(B·(d+h)) rather than O(B·P), and the result
+does not depend on the microbatch size. The non-private baseline,
+:func:`grad_sum`, is the same reduction with f = 1.
 
 Group-level clipping sums gradients within a group before clipping, so it
 materializes them (:func:`models.batch_grads`) one microbatch at a time and
 accumulates in batch order; the microbatch size bounds the live rows and
 never changes the result.
 
-The returned sum carries its sensitivity (the clip norm, under add/remove
-adjacency of one example or one group), and the privatizer scales its noise
-by that attached value, so the noise cannot drift from the clipping that
-bounds it.
+Clipping bounds the L2 norm, the one norm in which the Gaussian noise and
+both accountants read a sensitivity. The returned sum carries that
+sensitivity (the clip norm, an L2 bound under add/remove adjacency of one
+example or one group), and the privatizer scales its noise by that attached
+value, so the noise cannot drift from the clipping that bounds it.
 
 Non-finite per-unit gradients are replaced by the zero vector and counted;
 a zero vector lies inside every clip ball, so the sensitivity bound is
@@ -33,17 +34,14 @@ unaffected and training proceeds.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Optional
 
 import numpy as np
 
-from .models import GradientVector, Model, batch_grads, layer_factors, vector_norm
+from .models import GradientVector, Model, batch_grads, layer_factors
 
 FULL_BATCH = None  # microbatch_size sentinel: one microbatch spanning the batch
-
-_GEOMETRIES = ("l2", "l1", "linf")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,8 +49,8 @@ class ClipConfig:
     """Configuration for clipped gradient aggregation.
 
     Attributes:
-      clip_norm: The clip norm C; must be positive and finite.
-      geometry: Norm under which to clip: "l2", "l1", or "linf".
+      clip_norm: The clip norm C, a bound on each unit's L2 norm; must be
+        positive and finite.
       level: "example" clips each example's gradient; "group" sums gradients
         within each group key first and clips the group sums.
       microbatch_size: At group level, the number of examples whose gradients
@@ -62,15 +60,12 @@ class ClipConfig:
     """
 
     clip_norm: float
-    geometry: str = "l2"
     level: str = "example"
     microbatch_size: Optional[int] = FULL_BATCH
 
     def __post_init__(self):
         if not (self.clip_norm > 0.0) or not math.isfinite(self.clip_norm):
             raise ValueError(f"clip_norm must be positive and finite, got {self.clip_norm}")
-        if self.geometry not in _GEOMETRIES:
-            raise ValueError(f"unknown geometry {self.geometry!r}")
         if self.level not in ("example", "group"):
             raise ValueError(f"unknown clipping level {self.level!r}")
         if self.microbatch_size is not None and self.microbatch_size < 1:
@@ -81,8 +76,9 @@ class ClipConfig:
 class ClippedGradientSum:
     """Sum of clipped per-unit gradients plus its sensitivity.
 
-    sensitivity is always the clip norm: adding or removing one contributing
-    unit (example or group) changes the sum by at most one clipped gradient.
+    sensitivity is always the clip norm, a bound in L2: adding or removing
+    one contributing unit (example or group) changes the sum by one clipped
+    gradient, whose L2 norm is at most the clip norm.
     """
 
     sum: GradientVector
@@ -91,59 +87,62 @@ class ClippedGradientSum:
     dropped_nonfinite_count: int
 
 
-def clip(g: GradientVector, clip_norm: float, geometry: str = "l2") -> GradientVector:
-    """Scales ``g`` to norm at most ``clip_norm``: g * min(1, C/||g||).
+def l2_norm(values: np.ndarray) -> float:
+    """The L2 norm of ``values``; finite whenever every entry is finite."""
+    squares = float(np.einsum("i,i->", values, values, optimize=False))
+    if squares == math.inf:
+        # The squares overflowed; unless an entry is infinite, rescale by
+        # the largest magnitude so that a finite norm stays finite.
+        peak = float(np.max(np.abs(values)))
+        if math.isfinite(peak):
+            scaled = values / peak
+            return peak * math.sqrt(np.einsum("i,i->", scaled, scaled, optimize=False))
+    return math.sqrt(squares)
+
+
+def clip(g: GradientVector, clip_norm: float) -> GradientVector:
+    """Scales ``g`` to L2 norm at most ``clip_norm``: g * min(1, C/||g||₂).
 
     Inside the ball the vector is returned unchanged (exactly); outside, it
     is scaled onto the sphere, preserving direction.
     """
     if not (clip_norm > 0.0):
         raise ValueError(f"clip_norm must be positive, got {clip_norm}")
-    if geometry not in _GEOMETRIES:
-        raise ValueError(f"unknown geometry {geometry!r}")
-    norm = vector_norm(g.values, geometry)
+    norm = l2_norm(g.values)
     if norm <= clip_norm:
         return g
     return GradientVector(g.values * (clip_norm / norm), g.layout)
 
 
-def _factored_norms(factors, geometry: str):
-    """Each row's gradient norm, and whether its gradient is finite, from the factors.
+def _factored_norms(factors):
+    """Each row's gradient L2 norm, and whether its gradient is finite, from the factors.
 
-    A layer's norm is max|ã|·max|g| (its L∞ norm, with ã = [a, 1]) times the
-    norm of the factors scaled by those maxima, which for a nonzero g lies
-    in [1, √((k+1)o)] for L2 and [1, (k+1)o] for L1. Scaling before squaring
-    keeps every intermediate finite where the gradient's entries are: a huge
-    input paired with a zero output gradient (a saturated tanh unit) has
-    norm 0, not ∞·0 = NaN. An entry aᵢgⱼ of the materialized gradient overflows exactly
-    when max|ã|·max|g| does, and a non-finite factor entry always reaches
-    one, so a row is finite exactly when every layer's max|ã|·max|g| is.
+    A layer's norm is max|ã|·max|g| (its largest entry magnitude, with
+    ã = [a, 1]) times the L2 norm of the factors scaled by those maxima,
+    which for a nonzero g lies in [1, √((k+1)o)]; layer norms combine as a
+    hypotenuse. Scaling before squaring keeps every intermediate finite
+    where the gradient's entries are: a huge input paired with a zero output
+    gradient (a saturated tanh unit) has norm 0, not ∞·0 = NaN. An entry
+    aᵢgⱼ of the materialized gradient overflows exactly when max|ã|·max|g|
+    does, and a non-finite factor entry always reaches one, so a row is
+    finite exactly when every layer's max|ã|·max|g| is.
     """
     finite = None
-    layer_norms = []
+    norms = None
     for a, g in factors:
         a_max = np.abs(a).max(axis=1, initial=1.0)
         g_max = np.abs(g).max(axis=1, initial=0.0)
         peak = a_max * g_max
         finite = np.isfinite(peak) if finite is None else finite & np.isfinite(peak)
-        if geometry == "linf":
-            layer_norms.append(peak)
-            continue
         a_scaled = a / a_max[:, np.newaxis]
-        if geometry == "l2":
-            a_sq = np.einsum("bk,bk->b", a_scaled, a_scaled, optimize=False)
-            norm = np.sqrt(a_sq + a_max**-2)
-        else:
-            norm = np.abs(a_scaled).sum(axis=1) + 1.0 / a_max
+        a_sq = np.einsum("bk,bk->b", a_scaled, a_scaled, optimize=False)
+        norm = np.sqrt(a_sq + a_max**-2)
         if g.shape[1] > 1:  # a single output's g/max|g| is ±1, or its peak is 0
             g_scaled = g / np.where(g_max > 0.0, g_max, 1.0)[:, np.newaxis]
-            if geometry == "l2":
-                norm *= np.sqrt(np.einsum("bo,bo->b", g_scaled, g_scaled, optimize=False))
-            else:
-                norm *= np.abs(g_scaled).sum(axis=1)
-        layer_norms.append(peak * norm)
-    combine = {"l2": np.hypot, "l1": np.add, "linf": np.maximum}[geometry]
-    return functools.reduce(combine, layer_norms), finite
+            norm *= np.sqrt(np.einsum("bo,bo->b", g_scaled, g_scaled, optimize=False))
+        layer_norm = peak * norm
+        norms = layer_norm if norms is None else np.hypot(norms, layer_norm)
+    return norms, finite
 
 
 def _weighted_sum(factors, weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -204,7 +203,7 @@ def clipped_grad_sum(
         clipping.
 
     Returns:
-      The clipped sum with sensitivity equal to cfg.clip_norm.
+      The clipped sum with sensitivity equal to cfg.clip_norm, an L2 bound.
     """
     n = features.shape[0]
     if labels.shape[0] != n or (group_keys is not None and len(group_keys) != n):
@@ -217,7 +216,7 @@ def clipped_grad_sum(
             return ClippedGradientSum(GradientVector.zeros(layout), cfg.clip_norm, 0, 0)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             factors = layer_factors(model, params, features, labels)
-            norms, finite = _factored_norms(factors, cfg.geometry)
+            norms, finite = _factored_norms(factors)
             kept = int(np.count_nonzero(finite))
             if kept < finite.size:
                 # Dropped rows are left out, not weighted by 0: 0·inf = NaN.
@@ -252,7 +251,7 @@ def clipped_grad_sum(
         if not np.all(np.isfinite(group_sum)):
             dropped += 1
             continue
-        total += clip(GradientVector(group_sum, layout), cfg.clip_norm, cfg.geometry).values
+        total += clip(GradientVector(group_sum, layout), cfg.clip_norm).values
         contributing += 1
 
     return ClippedGradientSum(

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from typing import Optional
 
 import numpy as np
@@ -104,25 +103,6 @@ class GradientVector:
     @classmethod
     def zeros(cls, layout: Layout) -> "GradientVector":
         return cls(np.zeros(layout.total_length, dtype=np.float64), layout)
-
-
-def vector_norm(values: np.ndarray, geometry: str) -> float:
-    if geometry == "l2":
-        squares = float(np.einsum("i,i->", values, values, **_EINSUM_OPTS))
-        if squares == math.inf:
-            # The squares overflowed; unless an entry is infinite, rescale by
-            # the largest magnitude so that a finite norm stays finite.
-            peak = float(np.max(np.abs(values)))
-            if math.isfinite(peak):
-                scaled = values / peak
-                return peak * math.sqrt(np.einsum("i,i->", scaled, scaled, **_EINSUM_OPTS))
-        return math.sqrt(squares)
-    if geometry == "l1":
-        with np.errstate(over="ignore"):  # a sum above the float range is inf
-            return float(np.sum(np.abs(values)))
-    if geometry == "linf":
-        return float(np.max(np.abs(values))) if values.size else 0.0
-    raise ValueError(f"unknown geometry {geometry!r}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -44,7 +44,7 @@ import math
 import numbers
 import time
 import typing
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -581,16 +581,15 @@ class BenchmarkResult:
     max_throughput: dict[str, float]
     ratio: float
 
-    def to_csv(self, path: str) -> None:
+    def to_csv(self, stream: TextIO) -> None:
+        """Writes the rows as CSV, after a header row, to a text stream."""
         fieldnames = [
             "record", "model", "params", "mechanism", "batch_size",
             "examples_per_sec", "relative_throughput",
         ]
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row)
+        writer = csv.DictWriter(stream, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(self.rows)
 
 
 def run_benchmark(cfg: RunConfig) -> BenchmarkResult:

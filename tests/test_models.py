@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpcore import models, prng
+from dpcore import clipping, models, prng
 
 from conftest import finite_difference_grad, random_batch, random_example, random_model
 
@@ -123,7 +123,6 @@ def test_gradient_vector_arithmetic_layout_checked():
         _ = a + b
     c = a + models.GradientVector(2 * np.ones(3), a.layout)
     assert np.array_equal(c.values, 3 * np.ones(3))
-    assert models.vector_norm(c.values, "l2") == pytest.approx(3 * math.sqrt(3))
 
 
 def test_layout_total_length_cached_outside_equality():
@@ -136,19 +135,7 @@ def test_layout_total_length_cached_outside_equality():
 
 
 def test_vector_norms():
-    v = np.array([3.0, -4.0])
-    assert models.vector_norm(v, "l2") == pytest.approx(5.0)
-    assert models.vector_norm(v, "l1") == pytest.approx(7.0)
-    assert models.vector_norm(v, "linf") == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        models.vector_norm(v, "l0")
-
-
-@pytest.mark.filterwarnings("error")
-def test_l1_norm_above_float_range_is_inf_without_warning():
-    # The sum of magnitudes overflows although every entry is finite; the
-    # norm is inf (so the clip factor is 0) and no overflow warning escapes.
-    assert models.vector_norm(np.array([1.5e308, -1.5e308, 1.0]), "l1") == math.inf
+    assert clipping.l2_norm(np.array([3.0, -4.0])) == pytest.approx(5.0)
 
 
 def test_sigmoid_matches_two_branch_expit():

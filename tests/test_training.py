@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -263,7 +264,16 @@ def test_config_echo_materializes_defaults():
     echo = training.config_to_dict(cfg)
     assert echo["optimizer"]["beta1"] == 0.9  # default surfaced
     assert echo["benchmark"]["measured_steps"] == 50
-    assert echo["clip"]["geometry"] == "l2"
+    assert "geometry" not in echo["clip"]
+
+
+def test_readme_example_config_parses():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1]
+    raw = json.loads(cli_section.split("```json\n", 1)[1].split("```", 1)[0])
+    raw.pop("report_path")
+    cfg = training.config_from_dict(raw)
+    assert cfg.mechanism == "dpsgd" and cfg.clip.clip_norm == 1.0
 
 
 def test_benchmark_sweep_and_ratio():
@@ -325,8 +335,9 @@ def test_benchmark_csv_output(tmp_path):
     raw.pop("clip")
     result = training.run_benchmark(training.config_from_dict(raw))
     out = tmp_path / "bench.csv"
-    result.to_csv(str(out))
-    with open(out) as fh:
+    with open(out, "w", newline="") as fh:
+        result.to_csv(fh)
+    with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6
     assert {r["mechanism"] for r in rows} == {"none", "dpsgd"}
@@ -503,7 +514,6 @@ def test_cli_audit_enforce_maps_fail_to_exit_one(tmp_path, monkeypatch, capsys):
     failing = auditing_mod.AuditReport(
         included=np.array([True, False]),
         scores=np.array([1.0, 0.0]),
-        guesses=["in", "out"],
         epsilon_theory=1.0,
         epsilon_cp=2.0,
         epsilon_one_run=2.5,
@@ -531,8 +541,12 @@ def test_cli_benchmark_csv(tmp_path, capsys):
     code = cli.main(["benchmark", "--config", _write_cfg(tmp_path, raw),
                      "--output", str(out_path)])
     assert code == 0
-    assert out_path.exists()
     printed = capsys.readouterr().out
+    assert printed == out_path.read_text()
+    lines = printed.splitlines()
+    assert lines[0] == ("record,model,params,mechanism,batch_size,"
+                        "examples_per_sec,relative_throughput")
+    assert len(lines) == 1 + 4 + 2  # 2 mechanisms x 2 batch sizes, then 2 maxima
     assert "dpsgd" in printed
 
 
@@ -553,6 +567,8 @@ _EARLY_ERRORS = {
     "input-dim-0": ("train", {"model": {"kind": "logistic", "input_dim": 0}}),
     "eval-every-0": ("train", {"eval_every": 0}),
     "group-level-without-group-keys": ("train", {"clip": {"clip_norm": 1.0, "level": "group"}}),
+    "clip-geometry-linf": ("train", {"clip": {"clip_norm": 1.0, "geometry": "linf"}}),
+    "clip-geometry-l2": ("train", {"clip": {"clip_norm": 1.0, "geometry": "l2"}}),
     "audit-kind-gradient-direction": ("audit", {"audit": {"num_canaries": 10,
                                                           "kind": "gradient-direction"}}),
     "one-run-guesses-negative": ("audit", {"audit": {"num_canaries": 10,

@@ -8,10 +8,14 @@ Example-level clipping never materializes per-example gradients. Every
 layer's per-example gradient is an outer product ``[a, 1] ⊗ g`` of factors
 from :func:`models.layer_factors`, and the L2 norm of an outer product is
 the product of the factors' L2 norms (Goodfellow 2015, arXiv:1510.01799).
-So each row's norm and clip factor f come from the factors, and the clipped
-sum is one whole-batch reduction per layer, ``aᵀ(f⊙g)`` for the weights and
-``Σ f⊙g`` for the bias (the book-keeping of Bu et al. 2022,
-arXiv:2210.00038). Memory is O(B·(d+h)) rather than O(B·P), and the result
+So each row's norm and clip factor f come from the factors: the squared
+norm Σ (‖a‖²+1)·‖g‖² directly, from two row dot products per layer, and,
+for the rows whose direct value overflowed, or lost bits to underflow
+while the norm may exceed C, from the factors scaled by their largest
+entries. The clipped sum is one BLAS product per layer, ``aᵀ(f⊙g)`` with f
+applied to the narrower factor, and ``fᵀg`` for the bias (the book-keeping
+of Bu et al. 2022, arXiv:2210.00038). Memory is O(B·(d+h)) rather than
+O(B·P), and the result
 does not depend on the microbatch size. The non-private baseline,
 :func:`grad_sum`, is the same reduction with f = 1.
 
@@ -42,6 +46,8 @@ import numpy as np
 from .models import GradientVector, Model, batch_grads, layer_factors
 
 FULL_BATCH = None  # microbatch_size sentinel: one microbatch spanning the batch
+# A sum of squares below this may have lost bits to underflow (see _factored_norms).
+_DIRECT_FLOOR = 2.0**-900
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,13 +94,13 @@ class ClippedGradientSum:
 
 
 def l2_norm(values: np.ndarray) -> float:
-    """The L2 norm of ``values``; finite whenever every entry is finite."""
+    """The L2 norm of ``values``; finite and accurate whenever every entry is finite."""
     squares = float(np.einsum("i,i->", values, values, optimize=False))
-    if squares == math.inf:
-        # The squares overflowed; unless an entry is infinite, rescale by
-        # the largest magnitude so that a finite norm stays finite.
-        peak = float(np.max(np.abs(values)))
-        if math.isfinite(peak):
+    if not _DIRECT_FLOOR <= squares < math.inf:
+        # The squares overflowed or underflowed (or an entry is not finite);
+        # rescale by the largest magnitude, unless it is infinite or zero.
+        peak = float(np.max(np.abs(values), initial=0.0))
+        if 0.0 < peak < math.inf:
             scaled = values / peak
             return peak * math.sqrt(np.einsum("i,i->", scaled, scaled, optimize=False))
     return math.sqrt(squares)
@@ -114,8 +120,47 @@ def clip(g: GradientVector, clip_norm: float) -> GradientVector:
     return GradientVector(g.values * (clip_norm / norm), g.layout)
 
 
-def _factored_norms(factors):
+def _factored_norms(factors, radius: float):
     """Each row's gradient L2 norm, and whether its gradient is finite, from the factors.
+
+    The squared norm of ``[a, 1] ⊗ g`` is (‖a‖²+1)·‖g‖², so a row's squared
+    norm is that sum over the layers, two row dot products per layer. The
+    direct value is kept where it is finite and at least the floor
+    2⁻⁹⁰⁰·Σ o·(‖a‖²+1): every entry of such a row is finite, and the squares
+    of g that underflowed lose at most 2⁻¹⁰⁷⁵ each, under 2⁻¹⁷⁵ of the
+    floor in all. Below the floor it is also kept where the floor is at most
+    radius²/2: that row's norm is certainly below the radius, so clipping to
+    the radius leaves it unscaled whatever its exact value. A zero gradient
+    (a saturated sigmoid with the right label) is the common such row. The
+    other rows (overflow, underflow, NaN or ±inf) take :func:`_scaled_norms`,
+    which decides their norms and finite flags; radius 0 sends every row
+    below the floor there.
+    """
+    squares = floor = 0.0
+    for a, g in factors:
+        a_sq = _row_squares(a)
+        a_sq += 1.0
+        squares += a_sq * _row_squares(g)
+        floor += a_sq * (_DIRECT_FLOOR * g.shape[1])
+    floor = np.where(floor > 0.5 * radius * radius, floor, 0.0)
+    finite = squares >= floor  # False for NaN
+    finite &= squares < math.inf
+    norms = np.sqrt(squares)
+    if not finite.all():
+        rescale = np.flatnonzero(~finite)
+        norms[rescale], finite[rescale] = _scaled_norms([(a[rescale], g[rescale]) for a, g in factors])
+    return norms, finite
+
+
+def _row_squares(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares; a single column skips einsum's call overhead."""
+    if x.shape[1] == 1:
+        return x[:, 0] * x[:, 0]
+    return np.einsum("bk,bk->b", x, x, optimize=False)
+
+
+def _scaled_norms(factors):
+    """The reference for :func:`_factored_norms`: norms and finite flags from scaled factors.
 
     A layer's norm is max|ã|·max|g| (its largest entry magnitude, with
     ã = [a, 1]) times the L2 norm of the factors scaled by those maxima,
@@ -146,16 +191,24 @@ def _factored_norms(factors):
 
 
 def _weighted_sum(factors, weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Σ_b w_b [a_b, 1] ⊗ g_b in layout order: aᵀ(w⊙g), then Σ w⊙g, per layer.
+    """Σ_b w_b [a_b, 1] ⊗ g_b in layout order: aᵀ(w⊙g), then wᵀg, per layer.
 
-    These are whole-batch reductions (BLAS for aᵀ(w⊙g)), so their order
-    differs from a row-by-row sum in the last bits. weights None means 1.
+    The weights scale the narrower factor, a for a layer with fewer inputs
+    than outputs and g otherwise, before one product over the batch. These
+    whole-batch reductions are BLAS, so their order differs from a
+    row-by-row sum in the last bits. weights None means 1.
     """
     parts = []
     for a, g in factors:
-        wg = g if weights is None else g * weights[:, np.newaxis]
-        parts.append((a.T @ wg).ravel())
-        parts.append(wg.sum(axis=0))
+        if weights is None:
+            block, bias = a.T @ g, g.sum(axis=0)
+        else:
+            if a.shape[1] < g.shape[1]:
+                block = (a * weights[:, np.newaxis]).T @ g
+            else:
+                block = a.T @ (g * weights[:, np.newaxis])
+            bias = weights @ g
+        parts += [block.ravel(), bias]
     return np.concatenate(parts)
 
 
@@ -216,7 +269,7 @@ def clipped_grad_sum(
             return ClippedGradientSum(GradientVector.zeros(layout), cfg.clip_norm, 0, 0)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             factors = layer_factors(model, params, features, labels)
-            norms, finite = _factored_norms(factors)
+            norms, finite = _factored_norms(factors, cfg.clip_norm)
             kept = int(np.count_nonzero(finite))
             if kept < finite.size:
                 # Dropped rows are left out, not weighted by 0: 0·inf = NaN.

@@ -107,22 +107,36 @@ def build_section(kind: type, fields: dict, section: Optional[str] = None):
     messages name; None is the top level.
     """
     _require(isinstance(fields, dict), f"{section or 'the config'} must be a JSON object")
+
+    def path(name):
+        return f"{section}.{name}" if section else name
+
     hints = typing.get_type_hints(kind)
+    for name in fields:
+        _require(name in hints, f"unknown field {path(name)}")
+    for field in dataclasses.fields(kind):
+        required = (field.default is dataclasses.MISSING
+                    and field.default_factory is dataclasses.MISSING)
+        _require(field.name in fields or not required, f"missing field {path(field.name)}")
     for name, hint in hints.items():
         if name in fields and not _json_type_ok(fields[name], hint):
             expected = hint.__name__ if typing.get_origin(hint) is None else str(hint)
-            path = f"{section}.{name}" if section else name
             raise ConfigError(
-                f"{path} must be {expected.replace('typing.', '')}, got {fields[name]!r}"
+                f"{path(name)} must be {expected.replace('typing.', '')}, got {fields[name]!r}"
             )
     return kind(**fields)
 
 
 @contextlib.contextmanager
 def config_errors():
-    """Re-raises a bad field's TypeError, KeyError or ValueError as a ConfigError."""
+    """Re-raises a bad field's TypeError, KeyError or ValueError as a ConfigError.
+
+    A ConfigError already names what is wrong, so it passes through unchanged.
+    """
     try:
         yield
+    except ConfigError:
+        raise
     except (TypeError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad configuration: {exc}") from exc
 

@@ -268,6 +268,9 @@ def test_l2_norm_of_finite_vector_with_overflowing_squares():
     values = np.array([3e200, -4e200])
     assert clipping.l2_norm(values) == pytest.approx(5e200, rel=1e-15)
     assert clipping.l2_norm(np.array([np.inf, 1.0])) == np.inf
+    # Squares that underflow are rescaled too, so a tiny gradient is clipped.
+    assert clipping.l2_norm(np.array([3e-200, -4e-200])) == pytest.approx(5e-200, rel=1e-15)
+    assert clipping.l2_norm(np.zeros(2)) == 0.0
     clipped = clipping.clip(_vec(values), 1.0)
     np.testing.assert_allclose(clipped.values, [0.6, -0.8], rtol=1e-15)
 
@@ -292,3 +295,133 @@ def test_clip_config_validation():
         clipping.ClipConfig(clip_norm=float("inf"))
     with pytest.raises(ValueError):
         clipping.ClipConfig(clip_norm=1.0, microbatch_size=0)
+
+
+@pytest.fixture
+def rescaled(monkeypatch):
+    """The row count of each call of the scaled reference norm."""
+    calls = []
+    reference = clipping._scaled_norms
+
+    def counting(factors):
+        calls.append(len(factors[0][0]))
+        return reference(factors)
+
+    monkeypatch.setattr(clipping, "_scaled_norms", counting)
+    return calls
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def _mlp_factors(rng, n, scale_range):
+    """MLP-shaped factor pairs (x, d_pre), (act, dz) whose rows are scaled by
+    10**u, u drawn uniformly from scale_range, one draw per row and factor."""
+    def rows(k):
+        scale = 10.0 ** rng.uniform(*scale_range, size=(n, 1))
+        return rng.standard_normal((n, k)) * scale
+    return [(rows(6), rows(9)), (rows(9), rows(1))]
+
+
+def test_direct_norms_match_the_scaled_reference(rescaled):
+    n = 2000
+    factors = _mlp_factors(np.random.default_rng(0), n, (-150, 150))
+    with np.errstate(over="ignore"):
+        norms, finite = clipping._factored_norms(factors, 0.0)
+        # Both paths ran: the rows whose squares overflow or underflow were rescaled.
+        assert len(rescaled) == 1 and 0 < rescaled[0] < n / 2
+        want_norms, want_finite = clipping._scaled_norms(factors)
+    assert np.array_equal(finite, want_finite) and finite.all()
+    assert np.max(_ulps(norms, want_norms)) <= 4
+
+
+def _trigger_rows(value):
+    """Factors of 5 well-scaled rows; row 2 is made a fallback trigger."""
+    factors = _mlp_factors(np.random.default_rng(1), 5, (-1, 1))
+    (x, d_pre), (act, dz) = factors
+    if value == "zero":
+        d_pre[2] = 0.0
+        dz[2] = 0.0
+    elif value == "tiny":
+        for factor in (x, d_pre, act, dz):
+            factor[2] *= 1e-170
+    else:
+        x[2, 1] = value
+        act[2, 4] = value
+    return factors
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e200, -1e200, "tiny", "zero", np.nan, np.inf, -np.inf])
+def test_fallback_rows_take_the_reference_norm_exactly(value, rescaled):
+    factors = _trigger_rows(value)
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms, finite = clipping._factored_norms(factors, 0.0)
+        assert rescaled == [1]
+        want_norms, want_finite = clipping._scaled_norms([(a[2:3], g[2:3]) for a, g in factors])
+    assert np.array_equal(norms[2:3], want_norms, equal_nan=True)
+    assert np.array_equal(finite[2:3], want_finite)
+    assert np.delete(finite, 2).all()
+
+
+def _scaled_l2(values):
+    peak = np.max(np.abs(values), initial=0.0)
+    return 0.0 if peak == 0.0 else peak * np.linalg.norm(values / peak)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x,y,clip_norm,dropped", [
+    ([1e200, -1e200], 1.0, 1.0, 0),  # finite entries whose squares overflow
+    ([1e-170, 1e-170], 1e-170, 1e-200, 0),  # a norm of 1e-170, squares underflow
+    ([1.0, 2.0], 0.0, 1.0, 0),  # an all-zero gradient
+    ([np.nan, 1.0], 0.0, 1.0, 1),
+    ([np.inf, 1.0], 0.0, 1.0, 1),
+    ([-np.inf, 1.0], 0.0, 1.0, 1),
+])
+def test_fallback_rows_clip_into_the_ball(x, y, clip_norm, dropped):
+    # At zero parameters the linear model's gradient is -y·[x, 1].
+    m = models.Model(kind="linear", input_dim=2)
+    p = models.GradientVector.zeros(m.layout())
+    features = np.array([[0.3, -0.4], x, [2.0, 1.0]])
+    labels = np.array([1.0, y, -1.0])
+    cfg = clipping.ClipConfig(clip_norm=clip_norm)
+    res = clipping.clipped_grad_sum(m, p, features[1:2], labels[1:2], cfg)
+    assert (res.contributing_count, res.dropped_nonfinite_count) == (1 - dropped, dropped)
+    assert _scaled_l2(res.sum.values) <= clip_norm * (1 + 1e-15)
+    batch = clipping.clipped_grad_sum(m, p, features, labels, cfg)
+    oracle = clipping.clipped_grad_sum(m, p, features, labels, dataclasses.replace(cfg, level="group"),
+                                       group_keys=np.arange(3))
+    assert batch.dropped_nonfinite_count == oracle.dropped_nonfinite_count == dropped
+    np.testing.assert_allclose(batch.sum.values, oracle.sum.values, rtol=1e-12, atol=0)
+
+
+def test_well_scaled_batches_never_take_the_scaled_reference(rescaled):
+    # Wall-clock free: the reference norm runs only on the rows that need it.
+    rng = np.random.default_rng(2)
+    for model in (*_FUZZ_MODELS, models.Model(kind="mlp", input_dim=20, hidden_dim=128)):
+        p = models.init_params(model, prng.seed(3))
+        features, labels = random_batch(rng, model.input_dim, 200, model.loss == "log")
+        cfg = clipping.ClipConfig(clip_norm=0.5)
+        clipping.clipped_grad_sum(model, p, features, labels, cfg)
+        assert rescaled == []
+        features[3, 0] = np.nan
+        features[50] = 1e200  # finite, but its squares overflow
+        features[51, 1] = -np.inf
+        clipping.clipped_grad_sum(model, p, features, labels, cfg)
+        assert rescaled == [3]
+        rescaled.clear()
+
+
+def test_zero_gradients_inside_the_ball_skip_the_reference(rescaled):
+    # A saturated sigmoid with the right label has a gradient of exact zeros,
+    # whose direct norm, 0, is exact. The reference runs on such rows only
+    # when C² underflows, so that the floor cannot show them inside the ball.
+    m = models.Model(kind="logistic", input_dim=3)
+    p = models.GradientVector(np.array([0.0, 0.0, 0.0, 50.0]), m.layout())  # sigmoid(50) == 1.0
+    features, labels = np.ones((4, 3)), np.ones(4)
+    for clip_norm, calls in ((1.0, []), (1e-170, [4])):
+        res = clipping.clipped_grad_sum(m, p, features, labels, clipping.ClipConfig(clip_norm))
+        assert rescaled == calls
+        assert res.contributing_count == 4 and not res.sum.values.any()
+        rescaled.clear()

@@ -116,6 +116,50 @@ def test_batch_grads_match_single(rng):
         assert np.array_equal(row, single[0])
 
 
+_ROW_LOCAL_MODELS = (
+    models.Model(kind="linear", input_dim=7),
+    models.Model(kind="logistic", input_dim=7),
+    *(models.Model(kind="mlp", input_dim=7, hidden_dim=13, activation=act, loss=loss)
+      for act in ("relu", "tanh") for loss in ("log", "mse")),
+)
+
+
+def _per_example_outputs(model, params, features, labels):
+    """Every per-example array of the module, each with one row per example."""
+    factors = models.layer_factors(model, params, features, labels)
+    return [
+        models.batch_losses(model, params, features, labels),
+        models.batch_grads(model, params, features, labels),
+        *(factor for layer in factors for factor in layer),
+    ]
+
+
+@pytest.mark.parametrize("model", _ROW_LOCAL_MODELS, ids=lambda m: f"{m.kind}-{m.activation}-{m.loss}")
+def test_rows_are_bit_identical_however_the_batch_is_laid_out(model):
+    # A row's loss, gradient and factors depend on the example alone: not on
+    # the other rows, the row's offset in memory, or the input's strides.
+    rng = np.random.default_rng(0)
+    n = 40
+    features, labels = random_batch(rng, model.input_dim, n, model.loss == "log")
+    params = models.init_params(model, prng.seed(4))
+    whole = _per_example_outputs(model, params, features, labels)
+    idx = rng.permutation(n)[:17]
+    padded = np.zeros((n, 2 * model.input_dim))
+    padded[:, 1::2] = features
+    layouts = {
+        "slice view": (features[5:29], slice(5, 29)),
+        "gathered copy": (features[idx], idx),
+        "fortran order": (np.asfortranarray(features), slice(None)),
+        "strided columns": (padded[:, 1::2], slice(None)),
+        "strided rows": (features[::3], slice(None, None, 3)),
+        **{f"row {i}": (features[i : i + 1], slice(i, i + 1)) for i in range(n)},
+    }
+    for name, (rows, where) in layouts.items():
+        got = _per_example_outputs(model, params, rows, labels[where])
+        for want, part in zip(whole, got):
+            assert np.array_equal(part, want[where]), name
+
+
 def test_gradient_vector_arithmetic_layout_checked():
     a = models.GradientVector(np.ones(3), models.Layout((("x", 0, 3),)))
     b = models.GradientVector(np.ones(3), models.Layout((("y", 0, 3),)))

@@ -582,6 +582,8 @@ _EARLY_ERRORS = {
                                     "clip": {"clip_norm": 1.0, "level": "group"},
                                     "audit": {"num_canaries": 10}}),
     "unknown-top-level-field": ("train", {"eval_evry": 5}),
+    "audit-unknown-field": ("audit", {"audit": {"num_canaries": 10, "bogus": 1}}),
+    "model-without-input-dim": ("train", {"model": {"kind": "logistic"}}),
     "learning-rate-string": ("train", {"optimizer": {"kind": "sgd", "learning_rate": "a"}}),
     "seed-string": ("train", {"seed": "a"}),
     "steps-bool": ("train", {"steps": True}),
@@ -645,6 +647,26 @@ def test_cli_field_errors_precede_the_dataset(tmp_path, monkeypatch, capsys, com
     with pytest.raises(AssertionError, match="the dataset was built"):
         _run_cli(tmp_path, "train", {})
     assert _run_cli(tmp_path, command, overrides) == 2
+
+
+_ERROR_LINES = {
+    "clip-geometry-l2": "unknown field clip.geometry",
+    "unknown-top-level-field": "unknown field eval_evry",
+    "audit-unknown-field": "unknown field audit.bogus",
+    "model-without-input-dim": "missing field model.input_dim",
+    "missing-config": "cannot open {tmp}/missing.json: No such file or directory",
+    "missing-sigma-from": "cannot open {tmp}/missing.json: No such file or directory",
+    "sigma-from-without-noise-multiplier": "{tmp}/cal.json has no noise_multiplier",
+    "eval-every-0": "eval_every must be at least 1",
+}
+
+
+@pytest.mark.parametrize("name", _ERROR_LINES)
+def test_cli_error_line_names_the_config_path(tmp_path, capsys, name):
+    # A ConfigError passes through config_errors unchanged, and a field the
+    # config section does not have is named by its path in the config.
+    assert _run_cli(tmp_path, *_EARLY_ERRORS[name]) == 2
+    assert capsys.readouterr().err == f"error: {_ERROR_LINES[name].format(tmp=tmp_path)}\n"
 
 
 @pytest.mark.parametrize("name", _CSV_FILES)

@@ -160,6 +160,40 @@ def test_rows_are_bit_identical_however_the_batch_is_laid_out(model):
             assert np.array_equal(part, want[where]), name
 
 
+@pytest.mark.parametrize("model", _ROW_LOCAL_MODELS, ids=lambda m: f"{m.kind}-{m.activation}-{m.loss}")
+def test_batch_losses_do_not_depend_on_the_block_boundaries(model, monkeypatch):
+    rng = np.random.default_rng(1)
+    n = 50
+    features, labels = random_batch(rng, model.input_dim, n, model.loss == "log")
+    params = models.init_params(model, prng.seed(4))
+    single = [models.batch_losses(model, params, features[i : i + 1], labels[i : i + 1])[0]
+              for i in range(n)]
+    width = max(1, model.hidden_dim)
+    for rows_per_block in (1, 7, n - 1, n, 2 * n):
+        monkeypatch.setattr(models, "_LOSS_BLOCK_ENTRIES", rows_per_block * width)
+        losses = models.batch_losses(model, params, np.asfortranarray(features), labels)
+        assert np.array_equal(losses, single), rows_per_block
+
+
+def test_batch_losses_keep_their_temporaries_under_the_mmap_threshold(monkeypatch):
+    # A whole-dataset pass used to allocate B×h temporaries, each faulting in
+    # fresh pages; every block's widest temporary must stay under 128 KiB.
+    model = models.Model(kind="mlp", input_dim=20, hidden_dim=128)
+    params = models.init_params(model, prng.seed(4))
+    features, labels = random_batch(np.random.default_rng(2), 20, 2000, True)
+    blocks = []
+    impl = models._batch_losses_impl
+
+    def recording(model, params, features, labels):
+        blocks.append(features.shape[0])
+        return impl(model, params, features, labels)
+
+    monkeypatch.setattr(models, "_batch_losses_impl", recording)
+    models.batch_losses(model, params, features, labels)
+    assert sum(blocks) == 2000 and len(blocks) > 1
+    assert max(blocks) * model.hidden_dim * 8 < 128 * 1024
+
+
 def test_gradient_vector_arithmetic_layout_checked():
     a = models.GradientVector(np.ones(3), models.Layout((("x", 0, 3),)))
     b = models.GradientVector(np.ones(3), models.Layout((("y", 0, 3),)))

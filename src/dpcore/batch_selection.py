@@ -1,19 +1,26 @@
-"""Index-only batch selection strategies.
+"""Index-only batch selection: the batch policy and its one sampler.
 
-Strategies return plain integer index lists and know nothing about the
-underlying dataset format, so any loader can consume them. Each strategy is
-a pure function of (plan, key): iterating twice yields identical sequences.
+:class:`BatchConfig` is the ``batch`` config section and the one place it is
+checked. :class:`BatchPlan` binds it to a dataset size, a horizon and a key,
+and checks only what that binding adds.
 
-This module only samples. Which strategies make a mechanism's privacy
-accounting valid is decided by the trainer (``training.POLICY``).
+Step t takes a pool of candidate indices and yields it whole or
+Poisson-thinned, keeping each candidate independently with probability q.
+Poisson thins all n indices. Cyclic-poisson reshuffles the dataset each
+epoch, cuts it into ceil(1/q) shards and thins shard j at the epoch's step
+j. Shuffled-fixed reshuffles each epoch and takes consecutive slices of B
+whole, dropping a final partial slice.
 
-Batches vary in size and are handed on as they are: numpy has no compiler
-that would profit from padding them to a few fixed shapes.
+A batch is a plain integer index array, a pure function of (plan, t), and
+is handed on unpadded: numpy has no compiler that would profit from a few
+fixed shapes. Which strategies make a mechanism's privacy accounting valid
+is decided by the trainer (``training.POLICY``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Iterator, Optional
 
@@ -30,44 +37,53 @@ STRATEGIES = (POISSON, CYCLIC_POISSON, SHUFFLED_FIXED)
 
 def cyclic_epoch_length(sampling_prob: float) -> int:
     """Steps per cyclic-poisson epoch: the number of shards, ceil(1/q)."""
-    return math.ceil(1.0 / sampling_prob) if sampling_prob > 0 else 1
+    return math.ceil(1.0 / sampling_prob)
 
 
 @dataclasses.dataclass(frozen=True)
-class BatchPlan:
-    """A batch selection plan: strategy, dataset size, horizon, and key.
-
-    Attributes:
-      strategy: One of "poisson", "cyclic-poisson", "shuffled-fixed".
-      n: Dataset size.
-      iterations: Number of batches to emit (T).
-      sampling_prob: Per-example inclusion probability q (Poisson variants).
-      batch_size: Fixed batch size B (shuffled-fixed only).
-      key: PRNG key; the sole source of randomness.
-    """
+class BatchConfig:
+    """A strategy and its one parameter: the inclusion probability q of the
+    Poisson family, or the batch size B of shuffled-fixed."""
 
     strategy: str
-    n: int
-    iterations: int
-    key: prng.PrngKey
     sampling_prob: Optional[float] = None
     batch_size: Optional[int] = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        b, q = self.batch_size, self.sampling_prob
+        if self.strategy == SHUFFLED_FIXED:
+            if b is None or b < 1:
+                raise ValueError(f"shuffled-fixed requires batch_size >= 1, got {b}")
+        elif q is None or not 0.0 < q <= 1.0:
+            raise ValueError(f"{self.strategy} requires sampling_prob in (0, 1], got {q}")
+
+
+@dataclasses.dataclass(frozen=True)
+class BatchPlan:
+    """A batch config bound to a dataset size, a horizon and a key.
+
+    Attributes:
+      batch: The strategy and its parameter.
+      n: Dataset size.
+      iterations: Number of batches to emit (T).
+      key: PRNG key; the sole source of randomness.
+    """
+
+    batch: BatchConfig
+    n: int
+    iterations: int
+    key: prng.PrngKey
+
+    def __post_init__(self):
         if self.n < 1:
             raise ValueError("dataset size must be at least 1")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.strategy in (POISSON, CYCLIC_POISSON):
-            q = self.sampling_prob
-            if q is None or not (0.0 <= q <= 1.0):
-                raise ValueError(f"sampling_prob must be in [0, 1], got {q}")
-        if self.strategy == SHUFFLED_FIXED:
-            b = self.batch_size
-            if b is None or not (1 <= b <= self.n):
-                raise ValueError(f"batch_size must be in [1, n], got {b}")
+        b = self.batch.batch_size
+        if self.batch.strategy == SHUFFLED_FIXED and b > self.n:
+            raise ValueError(f"shuffled-fixed batch_size {b} exceeds the dataset size {self.n}")
 
     @property
     def expected_batch_size(self) -> float:
@@ -75,90 +91,33 @@ class BatchPlan:
 
         B for shuffled-fixed batches and q·n for the Poisson family.
         """
-        if self.strategy == SHUFFLED_FIXED:
-            return float(self.batch_size)
-        return float(self.sampling_prob) * self.n
+        if self.batch.strategy == SHUFFLED_FIXED:
+            return float(self.batch.batch_size)
+        return float(self.batch.sampling_prob) * self.n
+
+
+def _pools(plan: BatchPlan) -> Iterator[np.ndarray]:
+    """The candidate pool of each step t = 0, 1, ...; endless, read lazily."""
+    batch, n = plan.batch, plan.n
+    if batch.strategy == POISSON:
+        yield from itertools.repeat(np.arange(n))
+    for epoch in itertools.count():
+        perm = prng.permutation(prng.fold_in(prng.fold_in(plan.key, 1), epoch), n)
+        if batch.strategy == CYCLIC_POISSON:
+            yield from np.array_split(perm, cyclic_epoch_length(batch.sampling_prob))
+        else:
+            yield from np.split(perm[: n - n % batch.batch_size], n // batch.batch_size)
 
 
 def batches(plan: BatchPlan) -> Iterator[np.ndarray]:
-    """Dispatches to the iterator for plan.strategy."""
-    if plan.strategy == POISSON:
-        return poisson_batches(plan)
-    if plan.strategy == CYCLIC_POISSON:
-        return cyclic_poisson_batches(plan)
-    return shuffled_fixed_batches(plan)
+    """The plan's T batches: each step's pool, whole or Poisson-thinned at rate q.
 
-
-def poisson_batches(plan: BatchPlan) -> Iterator[np.ndarray]:
-    """I.i.d. Poisson sampling: each index joins each batch with probability q.
-
-    Batches may be empty; that is a feature, not an error, and the trainer
-    must handle it (the step becomes pure noise).
+    Poisson batches may be empty; that is a feature, not an error, and the
+    trainer must handle it (the step becomes pure noise).
     """
-    if plan.strategy != POISSON:
-        raise ValueError(f"plan strategy is {plan.strategy!r}, expected {POISSON!r}")
-    q = plan.sampling_prob
-    for t in range(plan.iterations):
-        step_key = prng.fold_in(prng.fold_in(plan.key, 0), t)
-        u = prng.uniform(step_key, plan.n)
-        yield np.flatnonzero(u < q).astype(np.int64)
-
-
-def cyclic_poisson_batches(plan: BatchPlan) -> Iterator[np.ndarray]:
-    """Cyclic Poisson sampling.
-
-    Each epoch reshuffles the dataset and partitions it into ceil(1/q)
-    contiguous shards; step j of the epoch Poisson-samples the j-th shard,
-    keeping each of its elements independently with probability q. Every
-    index is therefore a sampling candidate exactly once per epoch.
-    """
-    if plan.strategy != CYCLIC_POISSON:
-        raise ValueError(f"plan strategy is {plan.strategy!r}, expected {CYCLIC_POISSON!r}")
-    q = plan.sampling_prob
-    t = 0
-    epoch = 0
-    while t < plan.iterations:
-        for shard in cyclic_epoch_shards(plan, epoch):
-            if t >= plan.iterations:
-                return
-            step_key = prng.fold_in(prng.fold_in(plan.key, 0), t)
-            u = prng.uniform(step_key, len(shard))
-            yield shard[u < q].astype(np.int64)
-            t += 1
-        epoch += 1
-
-
-def cyclic_epoch_shards(plan: BatchPlan, epoch: int) -> list[np.ndarray]:
-    """The shard partition a cyclic-poisson plan uses in a given epoch.
-
-    Exposed for inspection: the shards partition [0, n) exactly, and the
-    epoch's batches are Poisson subsets of the corresponding shards.
-    """
-    if plan.strategy != CYCLIC_POISSON:
-        raise ValueError(f"plan strategy is {plan.strategy!r}, expected {CYCLIC_POISSON!r}")
-    perm = prng.permutation(prng.fold_in(prng.fold_in(plan.key, 1), epoch), plan.n)
-    return list(np.array_split(perm, cyclic_epoch_length(plan.sampling_prob)))
-
-
-def shuffled_fixed_batches(plan: BatchPlan) -> Iterator[np.ndarray]:
-    """Shuffle-and-batch: the common non-private loader, for comparison only.
-
-    Per epoch: one uniform shuffle, then consecutive batches of exactly B
-    indices; a final partial batch is dropped. No private mechanism's
-    accounting holds under it, so the trainer runs it for mechanism "none"
-    only.
-    """
-    if plan.strategy != SHUFFLED_FIXED:
-        raise ValueError(f"plan strategy is {plan.strategy!r}, expected {SHUFFLED_FIXED!r}")
-    b = plan.batch_size
-    per_epoch = plan.n // b
-    t = 0
-    epoch = 0
-    while t < plan.iterations:
-        perm = prng.permutation(prng.fold_in(prng.fold_in(plan.key, 1), epoch), plan.n)
-        for i in range(per_epoch):
-            if t >= plan.iterations:
-                return
-            yield perm[i * b : (i + 1) * b].astype(np.int64)
-            t += 1
-        epoch += 1
+    batch = plan.batch
+    for t, pool in zip(range(plan.iterations), _pools(plan)):
+        if batch.strategy != SHUFFLED_FIXED:
+            u = prng.uniform(prng.fold_in(prng.fold_in(plan.key, 0), t), pool.size)
+            pool = pool[u < batch.sampling_prob]
+        yield pool.astype(np.int64, copy=False)

@@ -19,19 +19,22 @@ section is a type that checks its own fields when it is built, after
 :func:`build_section` has checked each JSON value against its field's
 annotation (a number for ``float``, an integer for ``int``, never a bool),
 and :func:`config_from_dict` turns any field error into a
-:class:`ConfigError`. :func:`validate_config` then checks what spans
-sections: the mechanism against the privacy, clip and batch fields, the
-steps and the dataset. The privacy policy lives here and nowhere else: a
-configuration outside :data:`POLICY` never starts training. The few checks
-that need the dataset's size or width run once it is built, still before
-step 1. DP-SGD noise is the one-band (identity) case of banded noise, so
-every privatizer is built one way, from its noise multiplier and strategy;
-the privatizer reads the clip norm from the sum it noises.
+:class:`ConfigError`. The ``batch`` section is
+:class:`batch_selection.BatchConfig`, the one validator of the batch
+policy. :func:`validate_config` then checks what spans sections: the
+model's loss against the task, the mechanism against the privacy, clip and
+batch fields, the steps and the dataset. The privacy policy lives here and
+nowhere else: a configuration outside :data:`POLICY` never starts
+training. The few checks that need the dataset's size or width, the batch
+plan's among them, run once it is built, still before step 1. DP-SGD
+noise is the one-band (identity) case of banded noise, so every privatizer
+is built one way, from its noise multiplier and strategy; the privatizer
+reads the clip norm from the sum it noises.
 
-The benchmark harness measures throughput as total examples processed
-divided by total wall time, after warmup, sweeping batch sizes in powers of
-two and reporting the maximum per mechanism plus the private/non-private
-ratio.
+The benchmark harness measures throughput after warmup as the median, over
+chunks of the measured steps, of examples processed per second of wall
+time. It sweeps batch sizes in powers of two and reports the maximum per
+mechanism plus the private/non-private ratio.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import accounting, batch_selection, matrix_factorization, prng
+from .batch_selection import BatchConfig
 from .clipping import ClipConfig, clipped_grad_sum, grad_sum
 from .models import (
     Dataset,
@@ -183,24 +187,6 @@ class PrivacyConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class BatchConfig:
-    strategy: str
-    sampling_prob: Optional[float] = None
-    batch_size: Optional[int] = None
-
-    def __post_init__(self):
-        strategy = self.strategy
-        _require(strategy in batch_selection.STRATEGIES, f"unknown batch strategy {strategy!r}")
-        if strategy == batch_selection.SHUFFLED_FIXED:
-            _require(self.batch_size is not None and self.batch_size >= 1,
-                     "shuffled-fixed requires batch_size >= 1")
-        else:
-            q = self.sampling_prob
-            _require(q is not None and 0.0 < q <= 1.0,
-                     f"{strategy} requires sampling_prob in (0, 1]")
-
-
-@dataclasses.dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "sgd"  # "sgd" | "adamw"
     learning_rate: float = 0.1
@@ -292,6 +278,11 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 def validate_config(cfg: RunConfig) -> None:
     """The checks that span sections; no invalid configuration reaches step 1."""
+    model = cfg.model
+    log_loss = model.kind == "logistic" or (model.kind == "mlp" and model.loss == "log")
+    _require(not (log_loss and cfg.dataset.task == "regression"),
+             f"a {model.kind} model trains on log loss, which needs labels in [0, 1]; "
+             "dataset.task is regression")
     if cfg.mechanism == "none":
         _require(
             cfg.privacy is None,
@@ -383,6 +374,8 @@ def load_csv_dataset(path: str, task: str) -> Dataset:
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} values, got {len(row)}")
                 values = [float(v) for v in row]
+                if task == "binary-classification" and not 0.0 <= values[y_col] <= 1.0:
+                    raise ValueError(f"binary-classification label {row[y_col]} is outside [0, 1]")
             except ValueError as exc:
                 raise ConfigError(f"csv dataset {path} line {reader.line_num}: {exc}") from exc
             features.append([values[i] for i in col_index])
@@ -453,14 +446,11 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
         f"model input_dim {model.input_dim} does not match dataset "
         f"feature dim {dataset.feature_dim}",
     )
-    if cfg.batch.strategy == batch_selection.SHUFFLED_FIXED:
-        _require(
-            cfg.batch.batch_size <= dataset.size,
-            f"shuffled-fixed batch_size {cfg.batch.batch_size} exceeds the dataset "
-            f"size {dataset.size}",
-        )
     root = prng.seed(cfg.seed)
     init_key, batch_key, noise_key = (prng.fold_in(root, i) for i in (1, 2, 3))
+    with config_errors():
+        plan = batch_selection.BatchPlan(cfg.batch, dataset.size, cfg.steps, batch_key)
+    denom = plan.expected_batch_size
 
     params = init_params(model, init_key)
 
@@ -470,11 +460,6 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
         priv = Privatizer(sigma, strategy)
         priv_state = privatizer_init(priv, params.layout, noise_key)
     optimized = strategy if cfg.mechanism == "banded-mf" else None
-
-    plan = batch_selection.BatchPlan(
-        n=dataset.size, iterations=cfg.steps, key=batch_key, **dataclasses.asdict(cfg.batch)
-    )
-    denom = plan.expected_batch_size
 
     eval_every = cfg.eval_every if cfg.eval_every is not None else max(1, cfg.steps // 20)
 
@@ -611,9 +596,10 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkResult:
 
     Each cell runs warmup steps then measured steps on synthetic data with a
     fixed batch size (consecutive index windows, so the dataset acts purely
-    as dummy input). Throughput is examples processed per second over the
-    measured steps; the summary rows report the max across batch sizes and
-    the dpsgd/none ratio of those maxima.
+    as dummy input). Throughput is the median of examples per second over up
+    to ten chunks of the measured steps, so one phase of load from other
+    processes moves it little; the summary rows report the max across batch
+    sizes and the dpsgd/none ratio of those maxima.
     """
     dataset = build_dataset(cfg)
     model = cfg.model
@@ -677,7 +663,10 @@ def _benchmark_cell(cfg, model, dataset, mechanism, batch_size, clip, sigma):
             )
 
     run(cfg.benchmark.warmup_steps)
-    started = time.perf_counter()
-    run(cfg.benchmark.measured_steps)
-    elapsed = time.perf_counter() - started
-    return cfg.benchmark.measured_steps * batch_size / elapsed
+    measured = cfg.benchmark.measured_steps
+    rates = []
+    for chunk in np.array_split(np.arange(measured), min(measured, 10)):
+        started = time.perf_counter()
+        run(chunk.size)
+        rates.append(chunk.size * batch_size / (time.perf_counter() - started))
+    return float(np.median(rates))

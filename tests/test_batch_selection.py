@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -6,23 +9,43 @@ from dpcore import batch_selection as bs
 from dpcore import prng
 
 
-def _plan(**kwargs):
-    defaults = dict(strategy=bs.POISSON, n=10, iterations=5, key=prng.seed(0),
-                    sampling_prob=0.5)
-    defaults.update(kwargs)
-    return bs.BatchPlan(**defaults)
+def _plan(strategy=bs.POISSON, sampling_prob=0.5, batch_size=None, n=10, iterations=5,
+          key=prng.seed(0)):
+    return bs.BatchPlan(bs.BatchConfig(strategy, sampling_prob, batch_size), n, iterations, key)
+
+
+def _digest(plan):
+    h = hashlib.sha256()
+    for batch in bs.batches(plan):
+        h.update(np.int64(batch.size).tobytes())
+        h.update(batch.astype("<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("strategy,sampling_prob,batch_size,iterations,digest", [
+    (bs.POISSON, 0.3, None, 40, "904120dd2de3e3a2"),
+    (bs.CYCLIC_POISSON, 0.3, None, 12, "d2be7a48e3d7b1db"),
+    (bs.SHUFFLED_FIXED, None, 8, 14, "93ca84c860e013b3"),
+])
+def test_streams_are_pinned(strategy, sampling_prob, batch_size, iterations, digest):
+    # Each strategy's stream, batch sizes included: a change to any of the
+    # three random streams fails here.
+    plan = _plan(strategy, sampling_prob, batch_size, n=50, iterations=iterations,
+                 key=prng.seed(7))
+    assert _digest(plan) == digest
 
 
 def test_poisson_q_one_full_batches():
     plan = _plan(n=7, sampling_prob=1.0, iterations=3)
-    for batch in bs.poisson_batches(plan):
+    for batch in bs.batches(plan):
         assert np.array_equal(batch, np.arange(7))
 
 
-def test_poisson_q_zero_empty_batches():
-    plan = _plan(sampling_prob=0.0)
-    for batch in bs.poisson_batches(plan):
-        assert batch.size == 0
+def test_poisson_q_zero_rejected():
+    # A run that samples no one is a configuration error, not T noise steps.
+    for strategy in (bs.POISSON, bs.CYCLIC_POISSON):
+        with pytest.raises(ValueError, match=r"sampling_prob in \(0, 1\]"):
+            _plan(strategy, sampling_prob=0.0)
 
 
 def test_poisson_invalid_q_rejected():
@@ -37,7 +60,7 @@ def test_poisson_marginal_inclusion_rate():
     # 99.9% binomial band around q.
     n, q, t_steps = 1000, 0.01, 1000
     plan = _plan(n=n, sampling_prob=q, iterations=t_steps)
-    included = sum(b.size for b in bs.poisson_batches(plan))
+    included = sum(b.size for b in bs.batches(plan))
     trials = n * t_steps
     lo, hi = scipy.stats.binom.interval(0.999, trials, q)
     assert lo <= included <= hi
@@ -45,8 +68,8 @@ def test_poisson_marginal_inclusion_rate():
 
 def test_poisson_determinism():
     plan = _plan(iterations=20)
-    a = [b.copy() for b in bs.poisson_batches(plan)]
-    b_ = [b.copy() for b in bs.poisson_batches(plan)]
+    a = [b.copy() for b in bs.batches(plan)]
+    b_ = [b.copy() for b in bs.batches(plan)]
     assert all(np.array_equal(x, y) for x, y in zip(a, b_))
 
 
@@ -56,7 +79,7 @@ def test_poisson_cross_step_independence():
     n, q, t_steps = 50, 0.3, 4000
     plan = _plan(n=n, sampling_prob=q, iterations=t_steps)
     indicators = np.zeros((t_steps, n))
-    for t, batch in enumerate(bs.poisson_batches(plan)):
+    for t, batch in enumerate(bs.batches(plan)):
         indicators[t, batch] = 1.0
     a, b = indicators[:-1, 0], indicators[1:, 0]
     cov = np.mean(a * b) - np.mean(a) * np.mean(b)
@@ -65,37 +88,38 @@ def test_poisson_cross_step_independence():
 
 def test_cyclic_q_one_full_permutations():
     plan = _plan(strategy=bs.CYCLIC_POISSON, n=9, sampling_prob=1.0, iterations=4)
-    for batch in bs.cyclic_poisson_batches(plan):
+    for batch in bs.batches(plan):
         assert np.array_equal(np.sort(batch), np.arange(9))
 
 
 def test_cyclic_determinism():
     plan = _plan(strategy=bs.CYCLIC_POISSON, n=40, sampling_prob=0.2, iterations=15)
-    a = [b.copy() for b in bs.cyclic_poisson_batches(plan)]
-    b_ = [b.copy() for b in bs.cyclic_poisson_batches(plan)]
+    a = [b.copy() for b in bs.batches(plan)]
+    b_ = [b.copy() for b in bs.batches(plan)]
     assert all(np.array_equal(x, y) for x, y in zip(a, b_))
 
 
-def test_cyclic_shards_partition_dataset():
-    plan = _plan(strategy=bs.CYCLIC_POISSON, n=100, sampling_prob=0.1, iterations=10)
-    for epoch in range(3):
-        shards = bs.cyclic_epoch_shards(plan, epoch)
-        assert len(shards) == 10
-        combined = np.sort(np.concatenate(shards))
-        assert np.array_equal(combined, np.arange(100))
-
-
-def test_cyclic_batches_are_subsets_of_shards():
-    plan = _plan(strategy=bs.CYCLIC_POISSON, n=60, sampling_prob=0.25, iterations=8)
-    shards = bs.cyclic_epoch_shards(plan, 0) + bs.cyclic_epoch_shards(plan, 1)
-    for batch, shard in zip(bs.cyclic_poisson_batches(plan), shards):
-        assert set(batch.tolist()) <= set(shard.tolist())
+@pytest.mark.parametrize("shards", [2, 3, 4, 10])
+def test_cyclic_epoch_draws_no_index_twice(shards):
+    # Banded-mf accounting assumes single participation: within one epoch of
+    # ceil(1/q) steps, each index is a candidate once, so it is drawn at most
+    # once.
+    q = 1 / shards
+    k = math.ceil(1 / q)
+    plan = _plan(bs.CYCLIC_POISSON, sampling_prob=q, n=60, iterations=5 * k)
+    drawn = list(bs.batches(plan))
+    assert len(drawn) == 5 * k
+    for epoch in range(5):
+        seen = np.concatenate(drawn[epoch * k : (epoch + 1) * k])
+        assert seen.size > 0
+        assert np.unique(seen).size == seen.size
+        assert np.all((seen >= 0) & (seen < 60))
 
 
 def test_shuffled_epoch_partition():
     plan = _plan(strategy=bs.SHUFFLED_FIXED, n=6, batch_size=3, iterations=2,
                  sampling_prob=None)
-    batches = list(bs.shuffled_fixed_batches(plan))
+    batches = list(bs.batches(plan))
     assert all(b.size == 3 for b in batches)
     assert np.array_equal(np.sort(np.concatenate(batches)), np.arange(6))
 
@@ -103,7 +127,7 @@ def test_shuffled_epoch_partition():
 def test_shuffled_full_batch_is_permutation():
     plan = _plan(strategy=bs.SHUFFLED_FIXED, n=8, batch_size=8, iterations=3,
                  sampling_prob=None)
-    for batch in bs.shuffled_fixed_batches(plan):
+    for batch in bs.batches(plan):
         assert np.array_equal(np.sort(batch), np.arange(8))
 
 
@@ -116,14 +140,14 @@ def test_shuffled_epoch_multiset():
     n, b = 10**4, 100
     plan = _plan(strategy=bs.SHUFFLED_FIXED, n=n, batch_size=b, iterations=n // b,
                  sampling_prob=None)
-    seen = np.concatenate(list(bs.shuffled_fixed_batches(plan)))
+    seen = np.concatenate(list(bs.batches(plan)))
     assert np.array_equal(np.sort(seen), np.arange(n))
 
 
 def test_shuffled_drops_partial_batch():
     plan = _plan(strategy=bs.SHUFFLED_FIXED, n=7, batch_size=3, iterations=4,
                  sampling_prob=None)
-    batches = list(bs.shuffled_fixed_batches(plan))
+    batches = list(bs.batches(plan))
     assert all(b.size == 3 for b in batches)
     # 2 batches per epoch; index 7th of each shuffle never appears that epoch.
     assert len(batches) == 4

@@ -589,6 +589,12 @@ _EARLY_ERRORS = {
     "steps-bool": ("train", {"steps": True}),
     "missing-config": ("missing-config", {}),
     "missing-sigma-from": ("missing-sigma-from", {}),
+    "logistic-on-regression": ("train", {"dataset": {"source": "synthetic", "n": 300, "d": 6,
+                                                     "task": "regression", "seed": 4}}),
+    "mlp-log-loss-on-regression": ("train", {
+        "model": {"kind": "mlp", "input_dim": 6, "hidden_dim": 4, "loss": "log"},
+        "dataset": {"source": "synthetic", "n": 300, "d": 6, "task": "regression", "seed": 4},
+    }),
     "train-sampling-prob-0": ("train", {"batch": {"strategy": "poisson", "sampling_prob": 0.0}}),
     "calibrate-sampling-prob-0": ("calibrate", {
         "privacy": {"target_epsilon": 1.0, "delta": 1e-5},
@@ -600,6 +606,7 @@ _EARLY_ERRORS = {
 _CSV_FILES = {
     "non-numeric.csv": "x0,y\n1.0,1\nabc,0\n",
     "short-row.csv": "x0,x1,y\n1.0,2.0,1\n3.0,0\n",
+    "label-outside-unit.csv": "x0,y\n1.0,1\n2.0,-1\n",
 }
 _BAD_CONFIGS = {
     **_EARLY_ERRORS,
@@ -658,6 +665,8 @@ _ERROR_LINES = {
     "missing-sigma-from": "cannot open {tmp}/missing.json: No such file or directory",
     "sigma-from-without-noise-multiplier": "{tmp}/cal.json has no noise_multiplier",
     "eval-every-0": "eval_every must be at least 1",
+    "logistic-on-regression": "a logistic model trains on log loss, which needs labels in "
+                              "[0, 1]; dataset.task is regression",
 }
 
 
@@ -674,4 +683,4 @@ def test_csv_malformed_row_names_file_and_line(tmp_path, name):
     path = tmp_path / name
     path.write_text(_CSV_FILES[name])
     with pytest.raises(training.ConfigError, match=re.escape(f"csv dataset {path} line 3: ")):
-        training.load_csv_dataset(str(path), "regression")
+        training.load_csv_dataset(str(path), "binary-classification")

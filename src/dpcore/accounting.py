@@ -16,12 +16,20 @@ expansion
                       * exp(k(k-1) / (2 sigma^2)) ) / (alpha - 1).
 
 At q = 1 it reduces to alpha / (2 sigma^2). Otherwise all orders are
-evaluated at once on a padded (orders x k) grid of log terms: the cached
-log C(alpha, k) (-inf where k > alpha) plus the cached alpha - k times
-log(1-q), plus k log q and k(k-1) / (2 sigma^2) broadcast along k. Each row
-is reduced as m + log1p(sum of exp(term - m) over the other terms), m the
-row's largest term; log1p keeps the small remainder exact when one term
-dominates, as it does at tiny q and large sigma.
+evaluated on a padded (orders x k) grid of log terms. Its sigma-free part,
+(alpha - k) log(1-q) + log C(alpha, k) + k log q (-inf where k > alpha), is
+cached per (orders, q), so a calibration builds it once and each trial sigma
+adds only k(k-1) / (2 sigma^2) along k. Each row is reduced as
+m + log1p(sum of exp(term - m) over the other terms), m the row's largest
+term; log1p keeps the small remainder exact when one term dominates, as it
+does at tiny q and large sigma. Rows go in blocks of 64 ascending orders,
+and a block exponentiates only the columns up to its largest order, about
+half the grid at the default orders 2..512. The sums still run over
+full-width rows, the cells k > alpha as exact zeros, so every value is the
+whole-grid evaluation's, bit for bit. The conversion below is one vector
+pass with its per-(orders, delta) constants cached. One epsilon at the
+default orders takes about 0.8 ms (2.3 ms exponentiating the whole grid) on
+a 2-vCPU Xeon with one BLAS thread; a calibration, 20 of them, about 20 ms.
 
 The independent oracle for one step at q = 1 is the analytic Gaussian
 mechanism: the exact two-term expression
@@ -111,23 +119,95 @@ class RdpCurve:
             raise ValueError("orders must be ascending")
 
 
-@functools.lru_cache(maxsize=8)
-def _binomial_grids(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """log C(alpha, k) and alpha - k on the padded (orders x k) grid, read-only.
+# Rows per block of the term grid. Orders ascend, so a block's last order is
+# its widest and the cells right of it are -inf in every row of the block.
+_BLOCK_ROWS = 64
 
-    They depend on the orders alone, so every (q, sigma) evaluation over the
-    same orders shares them. log C(alpha, k) is -inf in the cells k > alpha,
-    which therefore drop out of every sum.
+
+@functools.lru_cache(maxsize=8)
+def _integer_orders(orders: tuple) -> tuple[int, ...]:
+    """The orders as ints, checked once per tuple: integers >= 2, ascending."""
+    checked = []
+    for a in orders:
+        if int(a) != a or a < 2:
+            raise ValueError(f"orders must be integers >= 2, got {a}")
+        checked.append(int(a))
+    if not checked:
+        raise ValueError("orders must be non-empty")
+    if checked != sorted(checked):
+        raise ValueError("orders must be ascending")
+    return tuple(checked)
+
+
+@functools.lru_cache(maxsize=8)
+def _log_binomial(orders: tuple[int, ...]) -> np.ndarray:
+    """log C(alpha, k) on the padded (orders x k) grid, read-only.
+
+    -inf in the cells k > alpha, which therefore drop out of every sum.
     """
     a = np.array(orders, dtype=np.float64)[:, None]
     k = np.arange(max(orders) + 1, dtype=np.float64)[None, :]
     with np.errstate(invalid="ignore"):
         log_binom = gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1)
     log_binom = np.where(k <= a, log_binom, -np.inf)
-    a_minus_k = a - k
     log_binom.flags.writeable = False
-    a_minus_k.flags.writeable = False
-    return log_binom, a_minus_k
+    return log_binom
+
+
+@functools.lru_cache(maxsize=8)
+def _sigma_free_terms(orders: tuple[int, ...], q: float) -> np.ndarray:
+    """(alpha - k) log(1-q) + log C(alpha, k) + k log q on the grid, read-only.
+
+    The part of every log term that does not depend on sigma, added in this
+    order; the cells k > alpha are -inf.
+    """
+    log_binom = _log_binomial(orders)
+    a = np.array(orders, dtype=np.float64)[:, None]
+    k = np.arange(max(orders) + 1, dtype=np.float64)
+    terms = a - k
+    terms *= math.log1p(-q)
+    terms += log_binom
+    terms += k * math.log(q)
+    terms.flags.writeable = False
+    return terms
+
+
+def _rdp_values(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
+    """Subsampled-Gaussian RDP at each checked order, as a fresh array."""
+    alphas = np.array(orders, dtype=np.float64)
+    if sigma == 0.0:
+        return np.full(alphas.shape, math.inf)
+    if q == 0.0:
+        return np.zeros(alphas.shape)
+    if q == 1.0:
+        return alphas / (2.0 * sigma * sigma)
+
+    # Rows are independent binomial expansions, summed as max + log1p(sum of
+    # exp(term - max) over the other terms). A block of rows works on the
+    # columns up to its largest order, contiguous so that exp runs as one
+    # loop; its rows are then summed at full width, with zeros to the right,
+    # since numpy's pairwise summation groups terms by row length.
+    base = _sigma_free_terms(orders, q)
+    k = np.arange(base.shape[1], dtype=np.float64)
+    growth = k * (k - 1) / (2.0 * sigma * sigma)
+    rows = min(_BLOCK_ROWS, len(orders))
+    live_buffer = np.empty(rows * base.shape[1])
+    wide = np.zeros((rows, base.shape[1]))  # widths ascend: the tail stays 0
+    peak = np.empty(len(orders))
+    rest = np.empty(len(orders))
+    for r0 in range(0, len(orders), rows):
+        r1 = min(r0 + rows, len(orders))
+        width = orders[r1 - 1] + 1
+        live = live_buffer[: (r1 - r0) * width].reshape(r1 - r0, width)
+        np.add(base[r0:r1, :width], growth[:width], out=live)
+        index = np.arange(r1 - r0), live.argmax(axis=1)
+        peak[r0:r1] = live[index]
+        live -= peak[r0:r1, None]
+        live[index] = -np.inf
+        np.exp(live, out=live)
+        wide[: r1 - r0, :width] = live
+        wide[: r1 - r0].sum(axis=1, out=rest[r0:r1])
+    return (peak + np.log1p(rest)) / (alphas - 1)
 
 
 def rdp_subsampled_gaussian(
@@ -141,7 +221,7 @@ def rdp_subsampled_gaussian(
     Args:
       q: Poisson sampling probability in [0, 1].
       sigma: Noise multiplier (stddev / sensitivity).
-      orders: Integer orders >= 2.
+      orders: Ascending integer orders >= 2.
 
     Returns:
       The RDP curve over ``orders``.
@@ -150,38 +230,9 @@ def rdp_subsampled_gaussian(
         raise ValueError(f"q must be in [0, 1], got {q}")
     if sigma < 0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    checked = []
-    for a in orders:
-        if int(a) != a or a < 2:
-            raise ValueError(f"orders must be integers >= 2, got {a}")
-        checked.append(int(a))
-    if not checked:
-        raise ValueError("orders must be non-empty")
-
-    alphas = tuple(float(a) for a in checked)
-    if sigma == 0.0:
-        return RdpCurve(alphas, (math.inf,) * len(alphas))
-    if q == 0.0:
-        return RdpCurve(alphas, (0.0,) * len(alphas))
-    if q == 1.0:
-        return RdpCurve(alphas, tuple(a / (2.0 * sigma * sigma) for a in checked))
-
-    # One padded (orders x k) grid; rows are independent binomial expansions,
-    # summed as max + log1p(sum of exp(term - max) over the other terms).
-    log_binom, a_minus_k = _binomial_grids(tuple(checked))
-    k = np.arange(log_binom.shape[1], dtype=np.float64)
-    log_terms = a_minus_k * math.log1p(-q)
-    log_terms += log_binom
-    log_terms += k * math.log(q)
-    log_terms += k * (k - 1) / (2.0 * sigma * sigma)
-    rows = np.arange(log_terms.shape[0])
-    top = log_terms.argmax(axis=1)
-    peak = log_terms[rows, top]
-    log_terms -= peak[:, None]
-    log_terms[rows, top] = -np.inf
-    rest = np.exp(log_terms, out=log_terms).sum(axis=1)
-    values = (peak + np.log1p(rest)) / (np.array(alphas) - 1)
-    return RdpCurve(alphas, tuple(float(v) for v in values))
+    checked = _integer_orders(tuple(orders))
+    values = _rdp_values(q, sigma, checked)
+    return RdpCurve(tuple(map(float, checked)), tuple(values.tolist()))
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:
@@ -189,6 +240,28 @@ def compose(curve: RdpCurve, steps: int) -> RdpCurve:
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     return RdpCurve(curve.orders, tuple(v * steps for v in curve.values))
+
+
+@functools.lru_cache(maxsize=8)
+def _conversion_terms(orders: tuple[float, ...], delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per order, log(1 - 1/alpha) and (log(1/delta) - log(alpha)) / (alpha - 1)."""
+    log_inv_delta = math.log(1.0 / delta)
+    shrink = np.array([math.log1p(-1.0 / a) for a in orders])
+    slack = np.array([(log_inv_delta - math.log(a)) / (a - 1) for a in orders])
+    shrink.flags.writeable = slack.flags.writeable = False
+    return shrink, slack
+
+
+def _to_epsilon(
+    values: np.ndarray, orders: tuple[float, ...], delta: float
+) -> tuple[float, float]:
+    """(epsilon, minimizing order) of RDP ``values`` over ``orders``, in one pass."""
+    shrink, slack = _conversion_terms(orders, delta)
+    eps = values + shrink
+    eps += slack
+    eps[np.isnan(eps)] = math.inf  # an undefined order bounds nothing
+    best = int(eps.argmin())  # the first of tied orders
+    return max(float(eps[best]), 0.0), orders[best]
 
 
 def rdp_to_epsilon(curve: RdpCurve, delta: float) -> tuple[float, float]:
@@ -203,15 +276,7 @@ def rdp_to_epsilon(curve: RdpCurve, delta: float) -> tuple[float, float]:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if not curve.orders:
         raise ValueError("empty RDP curve")
-    log_inv_delta = math.log(1.0 / delta)
-    best_eps = math.inf
-    best_order = curve.orders[0]
-    for a, v in zip(curve.orders, curve.values):
-        eps = v + math.log1p(-1.0 / a) + (log_inv_delta - math.log(a)) / (a - 1)
-        if eps < best_eps:
-            best_eps = eps
-            best_order = a
-    return max(best_eps, 0.0), best_order
+    return _to_epsilon(np.array(curve.values, dtype=np.float64), curve.orders, delta)
 
 
 def _analytic_delta(eps: float, sigma: float) -> float:
@@ -270,8 +335,10 @@ def epsilon(spec: PrivacySpec, orders: Sequence[int] = DEFAULT_ORDERS) -> float:
     """
     if spec.noise_multiplier == 0.0:
         return math.inf
-    curve = rdp_subsampled_gaussian(spec.sampling_prob, spec.noise_multiplier, orders)
-    eps, _ = rdp_to_epsilon(compose(curve, spec.steps), spec.delta)
+    checked = _integer_orders(tuple(orders))
+    values = _rdp_values(spec.sampling_prob, spec.noise_multiplier, checked)
+    values *= spec.steps
+    eps, _ = _to_epsilon(values, checked, spec.delta)
     return eps
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -125,19 +126,84 @@ def test_rdp_reduction_matches_scipy_logsumexp():
 
 
 def test_log_binomial_grid_reuse_is_bit_identical():
-    # The grids are shared across (q, sigma) for the same orders; reusing
-    # them must give exactly the values of a fresh computation.
+    # The cached grids are shared across sigma for the same orders (and q);
+    # reusing them, also when two q values alternate, must give exactly the
+    # values of a fresh computation.
     orders = list(range(2, 65))
-    warm = [accounting.rdp_subsampled_gaussian(q, s, orders)
-            for q, s in ((0.01, 1.0), (0.2, 0.6), (0.01, 1.0))]
-    accounting._binomial_grids.cache_clear()
-    cold = accounting.rdp_subsampled_gaussian(0.01, 1.0, orders)
-    assert warm[0] == cold and warm[2] == cold
-    log_binom, a_minus_k = accounting._binomial_grids(tuple(orders))
-    assert not log_binom.flags.writeable and not a_minus_k.flags.writeable
+    key = tuple(orders)
+    calls = ((0.01, 1.0), (0.2, 0.6), (0.01, 1.0), (0.2, 0.6), (0.01, 0.7))
+    warm = [accounting.rdp_subsampled_gaussian(q, s, orders) for q, s in calls]
+    for (q, s), curve in zip(calls, warm):
+        accounting._log_binomial.cache_clear()
+        accounting._sigma_free_terms.cache_clear()
+        assert curve == accounting.rdp_subsampled_gaussian(q, s, orders)
+    log_binom = accounting._log_binomial(key)
+    grids = [log_binom] + [accounting._sigma_free_terms(key, q) for q in (0.01, 0.2)]
     above = np.triu_indices(len(orders), 3, log_binom.shape[1])  # the cells k > alpha
-    assert np.all(np.isneginf(log_binom[above]))
-    assert np.isfinite(log_binom).sum() == log_binom.size - above[0].size
+    for grid in grids:
+        assert not grid.flags.writeable
+        assert np.all(np.isneginf(grid[above]))
+        assert np.isfinite(grid).sum() == grid.size - above[0].size
+
+
+@functools.cache
+def reference_log_binomial(orders):
+    a = np.array(orders, dtype=np.float64)[:, None]
+    k = np.arange(max(orders) + 1, dtype=np.float64)[None, :]
+    with np.errstate(invalid="ignore"):
+        log_binom = (scipy.special.gammaln(a + 1) - scipy.special.gammaln(k + 1)
+                     - scipy.special.gammaln(a - k + 1))
+    return np.where(k <= a, log_binom, -np.inf)
+
+
+def reference_rdp(q, sigma, orders):
+    """The full-grid evaluation: every (order, k) cell exponentiated."""
+    a = np.array(orders, dtype=np.float64)[:, None]
+    k = np.arange(max(orders) + 1, dtype=np.float64)
+    log_terms = (a - k) * math.log1p(-q)
+    log_terms += reference_log_binomial(orders)
+    log_terms += k * math.log(q)
+    log_terms += k * (k - 1) / (2.0 * sigma * sigma)
+    rows = np.arange(log_terms.shape[0])
+    top = log_terms.argmax(axis=1)
+    peak = log_terms[rows, top]
+    log_terms -= peak[:, None]
+    log_terms[rows, top] = -np.inf
+    rest = np.exp(log_terms, out=log_terms).sum(axis=1)
+    return tuple(((peak + np.log1p(rest)) / (a[:, 0] - 1)).tolist())
+
+
+@pytest.mark.parametrize("orders", [accounting.DEFAULT_ORDERS, tuple(range(2, 65)),
+                                    (2, 3, 7, 100, 300), (2,)], ids=len)
+def test_curve_equals_full_grid_evaluation(orders):
+    # Live-block evaluation on the cached sigma-free grid gives the full
+    # grid's values bit for bit.
+    for q in (0.001, 0.005, 1 / 96, 0.1, 0.5, 0.9):
+        for sigma in np.geomspace(0.01, 1000.0, 30).tolist():
+            got = accounting.rdp_subsampled_gaussian(q, sigma, orders)
+            assert got.values == reference_rdp(q, sigma, orders), (q, sigma)
+
+
+@pytest.mark.parametrize("target, q, steps, sigma, eps", [
+    (1.0, 0.1, 600, 10.006853606268734, 0.9999865855833014),
+    (4.0, 0.005, 20_000, 1.0618471646209724, 3.9993839705548817),
+])
+def test_calibrated_sigma_and_epsilon_pinned(target, q, steps, sigma, eps):
+    # The benchmark's audit-mlp and long-logistic calibrations, exactly as
+    # the full-grid evaluation gave them.
+    assert accounting.calibrate_noise(target, 1e-5, q, steps) == sigma
+    assert accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, sigma, q, steps)) == eps
+
+
+def test_unsorted_orders_rejected_before_evaluation():
+    before = accounting._sigma_free_terms.cache_info()
+    for sigma in (0.0, 1.0):
+        with pytest.raises(ValueError, match="orders must be ascending"):
+            accounting.rdp_subsampled_gaussian(0.3, sigma, [2, 5, 3])
+    with pytest.raises(ValueError, match="orders must be ascending"):
+        accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, 1.0, 0.3, 10), [4, 2])
+    after = accounting._sigma_free_terms.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_compose():
@@ -173,6 +239,43 @@ def test_rdp_to_epsilon_clamped_at_zero():
     eps, order = accounting.rdp_to_epsilon(curve, 0.5)
     assert eps == 0.0
     assert order == 2.0
+
+
+def loop_rdp_to_epsilon(curve, delta):
+    """Order-by-order conversion: the first order with the smallest value wins."""
+    log_inv_delta = math.log(1.0 / delta)
+    best_eps, best_order = math.inf, curve.orders[0]
+    for a, v in zip(curve.orders, curve.values):
+        eps = v + math.log1p(-1.0 / a) + (log_inv_delta - math.log(a)) / (a - 1)
+        if eps < best_eps:
+            best_eps, best_order = eps, a
+    return max(best_eps, 0.0), best_order
+
+
+_INF = math.inf
+
+
+@pytest.mark.parametrize("orders, values, delta", [
+    ((2.0, 3.0, 4.0, 5.0), (5e20, 1e20, 1e20, 3e20), 1e-5),  # orders 3 and 4 tie
+    ((2.0, 3.0, 5.0, 9.0), (_INF, 0.4, _INF, 0.2), 1e-5),
+    ((2.0, 3.0, 4.0), (_INF, _INF, _INF), 1e-5),
+    ((2.0, 3.0), (math.nan, 0.5), 1e-5),
+    ((7.0,), (0.25,), 1e-3),
+    ((2.0, 3.0), (0.0, 0.0), 0.5),  # clamped at 0
+    ((2.0, 3.0), (-_INF, -_INF), 1e-5),
+    (tuple(float(a) for a in range(2, 65)), (0.0,) * 63, 1e-5),
+    (tuple(float(a) for a in range(2, 513)), tuple(np.linspace(9, 0, 511).tolist()), 1e-7),
+], ids=["tie", "inf-entries", "all-inf", "nan-entry", "single-order", "clamp",
+        "minus-inf-tie", "zero-curve", "default-orders"])
+def test_rdp_to_epsilon_matches_order_loop(orders, values, delta):
+    curve = accounting.RdpCurve(orders, values)
+    assert accounting.rdp_to_epsilon(curve, delta) == loop_rdp_to_epsilon(curve, delta)
+
+
+def test_rdp_to_epsilon_tie_first_order_wins():
+    # 1e20 absorbs each order's conversion terms, so orders 3 and 4 tie.
+    curve = accounting.RdpCurve((2.0, 3.0, 4.0, 5.0), (5e20, 1e20, 1e20, 3e20))
+    assert accounting.rdp_to_epsilon(curve, 1e-5) == (1e20, 3.0)
 
 
 def test_rdp_to_epsilon_empty_curve_rejected():

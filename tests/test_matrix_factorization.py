@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import banded_toeplitz, prefix_matrix
 from dpcore import clipping, matrix_factorization as mf, models, privatizer as pz, prng
@@ -82,6 +83,42 @@ def test_expected_error_matches_dense_inverse(n, bands):
 def test_expected_error_unstable_strategy_is_infinite(coefficients):
     error = mf.expected_error(mf.prefix_workload(1000), mf.Strategy(coefficients))
     assert error == math.inf
+
+
+def solve_banded_error(n, s):
+    """The closed-form error through scipy.linalg.solve_banded and its checks."""
+    u = s.bands - 1
+    ab = np.zeros((s.bands, n))
+    for k, c in enumerate(s.coefficients):
+        ab[u - k, k:] = c
+    last = np.zeros(n)
+    last[-1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        first_column = np.cumsum(scipy.linalg.solve_banded((0, u), ab, last)[::-1])
+        error = float(np.arange(n, 0, -1) @ first_column**2) * s.sensitivity**2
+    return error if math.isfinite(error) else math.inf
+
+
+@pytest.mark.parametrize(
+    "n,bands", [(n, b) for n in (1, 2, 5, 96, 1000) for b in (1, 2, 4, 8, 16) if b <= n]
+)
+def test_expected_error_equals_solve_banded(n, bands):
+    # The direct LAPACK call gives scipy.linalg.solve_banded's bits, for
+    # stable strategies and for ones whose inverse overflows (both inf).
+    rng = np.random.default_rng(100 * n + bands)
+    w = mf.prefix_workload(n)
+    for scale in (0.1, 0.5, 1.0, 3.0):
+        s = mf.Strategy((1.0, *rng.uniform(-scale, scale, size=bands - 1)))
+        assert mf.expected_error(w, s) == solve_banded_error(n, s)
+
+
+@pytest.mark.parametrize("coefficients", [(1.0, math.nan), (1.0, math.inf), (1.0, 0.5, -math.inf)])
+def test_expected_error_non_finite_coefficient_rejected(coefficients):
+    s = mf.Strategy(coefficients)
+    with pytest.raises(ValueError):
+        solve_banded_error(8, s)
+    with pytest.raises(ValueError):
+        mf.expected_error(mf.prefix_workload(8), s)
 
 
 def test_optimize_beats_identity_prefix32():

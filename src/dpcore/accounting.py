@@ -180,7 +180,8 @@ def _rdp_values(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
     if q == 0.0:
         return np.zeros(alphas.shape)
     if q == 1.0:
-        return alphas / (2.0 * sigma * sigma)
+        with np.errstate(over="ignore", divide="ignore"):
+            return alphas / (2.0 * sigma * sigma)
 
     # Rows are independent binomial expansions, summed as max + log1p(sum of
     # exp(term - max) over the other terms). A block of rows works on the
@@ -189,14 +190,22 @@ def _rdp_values(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
     # since numpy's pairwise summation groups terms by row length.
     base = _sigma_free_terms(orders, q)
     k = np.arange(base.shape[1], dtype=np.float64)
-    growth = k * (k - 1) / (2.0 * sigma * sigma)
-    rows = min(_BLOCK_ROWS, len(orders))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        growth = k * (k - 1) / (2.0 * sigma * sigma)
+    # An order whose largest exponent, alpha (alpha - 1) / (2 sigma^2), is not
+    # a finite float gets +inf, an upper bound. The exponents grow with k, so
+    # these are the last orders, and the others never read an infinite cell.
+    finite = int(np.isfinite(growth[alphas.astype(np.intp)]).sum())
+    values = np.full(len(orders), math.inf)
+    if finite == 0:
+        return values
+    rows = min(_BLOCK_ROWS, finite)
     live_buffer = np.empty(rows * base.shape[1])
     wide = np.zeros((rows, base.shape[1]))  # widths ascend: the tail stays 0
-    peak = np.empty(len(orders))
-    rest = np.empty(len(orders))
-    for r0 in range(0, len(orders), rows):
-        r1 = min(r0 + rows, len(orders))
+    peak = np.empty(finite)
+    rest = np.empty(finite)
+    for r0 in range(0, finite, rows):
+        r1 = min(r0 + rows, finite)
         width = orders[r1 - 1] + 1
         live = live_buffer[: (r1 - r0) * width].reshape(r1 - r0, width)
         np.add(base[r0:r1, :width], growth[:width], out=live)
@@ -207,7 +216,8 @@ def _rdp_values(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
         np.exp(live, out=live)
         wide[: r1 - r0, :width] = live
         wide[: r1 - r0].sum(axis=1, out=rest[r0:r1])
-    return (peak + np.log1p(rest)) / (alphas - 1)
+    values[:finite] = (peak + np.log1p(rest)) / (alphas[:finite] - 1)
+    return values
 
 
 def rdp_subsampled_gaussian(
@@ -216,7 +226,10 @@ def rdp_subsampled_gaussian(
     """RDP curve of the Poisson-subsampled Gaussian mechanism.
 
     Integer orders only: the exact binomial expansion applies. sigma = 0
-    yields infinite values at every order.
+    yields infinite values at every order. So does a sigma so small that an
+    order's largest exponent, alpha (alpha - 1) / (2 sigma^2), overflows, at
+    that order: at order 512 below about 2.7e-152, at every order once
+    1 / sigma^2 overflows. Neither case warns.
 
     Args:
       q: Poisson sampling probability in [0, 1].
@@ -337,7 +350,8 @@ def epsilon(spec: PrivacySpec, orders: Sequence[int] = DEFAULT_ORDERS) -> float:
         return math.inf
     checked = _integer_orders(tuple(orders))
     values = _rdp_values(spec.sampling_prob, spec.noise_multiplier, checked)
-    values *= spec.steps
+    with np.errstate(over="ignore"):  # as compose's float product, to +inf
+        values *= spec.steps
     eps, _ = _to_epsilon(values, checked, spec.delta)
     return eps
 

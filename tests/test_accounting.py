@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -45,6 +46,38 @@ def test_q_zero_all_zero():
 def test_sigma_zero_infinite_values():
     curve = accounting.rdp_subsampled_gaussian(0.5, 0.0, [2, 3])
     assert all(math.isinf(v) for v in curve.values)
+
+
+@pytest.mark.parametrize("q", [0.1, 1.0])
+@pytest.mark.parametrize("sigma", [1e-160, 5e-324])
+def test_sigma_too_small_for_finite_curve(sigma, q):
+    # 1 / sigma^2 overflows (at 5e-324, sigma^2 is 0): every order is +inf,
+    # and neither the curve nor epsilon warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = accounting.rdp_subsampled_gaussian(q, sigma)
+        eps = accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, sigma, q, 100))
+    assert all(v == math.inf for v in curve.values)
+    assert eps == math.inf
+
+
+@pytest.mark.parametrize("q", [0.1, 1.0])
+@pytest.mark.parametrize("sigma", [1e-154, 1e-153])
+def test_sigma_overflowing_high_orders_only(sigma, q):
+    # alpha (alpha - 1) / (2 sigma^2) overflows above some order: those
+    # orders are +inf, and the lower ones keep their exact values.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = accounting.rdp_subsampled_gaussian(q, sigma)
+        eps = accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, sigma, q, 100))
+    assert eps == accounting.rdp_to_epsilon(accounting.compose(curve, 100), 1e-5)[0]
+    values = curve.values
+    finite = [math.isfinite(v) for v in values]
+    assert 0 < finite.count(True) < len(values)
+    assert finite == sorted(finite, reverse=True)  # the infinite orders are the last
+    for alpha in (2, 3, 4):
+        if finite[alpha - 2]:
+            assert values[alpha - 2] == pytest.approx(mpmath_rdp(q, sigma, alpha), rel=1e-12)
 
 
 def test_invalid_arguments():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from conftest import banded_toeplitz, prefix_matrix
 from dpcore import clipping, matrix_factorization as mf, models, privatizer as pz, prng
@@ -83,6 +84,11 @@ def test_expected_error_matches_dense_inverse(n, bands):
 def test_expected_error_unstable_strategy_is_infinite(coefficients):
     error = mf.expected_error(mf.prefix_workload(1000), mf.Strategy(coefficients))
     assert error == math.inf
+    # The optimizer's objective reads infinite too, with a finite gradient.
+    error, gradient = mf._error_and_gradient(1000, np.array(coefficients[1:], dtype=float))
+    assert error == math.inf
+    assert gradient.shape == (len(coefficients) - 1,)
+    assert np.all(np.isfinite(gradient))
 
 
 def solve_banded_error(n, s):
@@ -119,6 +125,83 @@ def test_expected_error_non_finite_coefficient_rejected(coefficients):
         solve_banded_error(8, s)
     with pytest.raises(ValueError):
         mf.expected_error(mf.prefix_workload(8), s)
+
+
+def _dense_gradient(n, s):
+    """d expected_error / d c_j for j >= 1, from dense matrices.
+
+    With M = A C^{-1}, dM/dc_j = -M Z_j C^{-1} (Z_j shifts down by j), so the
+    derivative of ||M||^2 ||c||^2 is 2 ||c||^2 <M, -M Z_j C^{-1}> + 2 c_j ||M||^2.
+    """
+    c_inv = np.linalg.inv(banded_toeplitz(s.coefficients, n))
+    m = prefix_matrix(n) @ c_inv
+    norm_sq = s.sensitivity**2
+    return np.array([
+        2 * norm_sq * np.sum(m * -(m @ np.eye(n, k=-j) @ c_inv)) + 2 * c * np.sum(m * m)
+        for j, c in enumerate(s.coefficients[1:], start=1)
+    ])
+
+
+def _central_difference_gradient(n, tail, h=1e-6):
+    def error(t):
+        return mf.expected_error(mf.prefix_workload(n), mf.Strategy((1.0, *t)))
+
+    return np.array([(error(tail + h * e) - error(tail - h * e)) / (2 * h)
+                     for e in np.eye(len(tail))])
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n,bands", [(n, b) for b in (2, 3, 8) for n in (b, 16, 64)])
+def test_error_gradient_matches_dense_and_central_differences(n, bands):
+    rng = np.random.default_rng(10 * n + bands)
+    w = mf.prefix_workload(n)
+    for scale in (0.1, 0.5, 1.0 / bands):
+        tail = rng.uniform(-scale, scale, size=bands - 1)
+        s = mf.Strategy((1.0, *tail))
+        error, gradient = mf._error_and_gradient(n, tail)
+        assert error == mf.expected_error(w, s)
+        assert _relative_gap(gradient, _dense_gradient(n, s)) <= 1e-9
+        assert _relative_gap(gradient, _central_difference_gradient(n, tail)) <= 1e-6
+
+
+def test_error_gradient_overflow_reads_infinite():
+    # At n = 154 the error of (1, -10) is finite, 1.3e308, but its gradient,
+    # about 30 times larger, is not: the optimizer sees an unusable point.
+    assert math.isfinite(mf.expected_error(mf.prefix_workload(154), mf.Strategy((1.0, -10.0))))
+    error, gradient = mf._error_and_gradient(154, np.array([-10.0]))
+    assert error == math.inf
+    assert np.all(gradient == 0.0)
+
+
+def finite_difference_optimize(w, bands, iters=200):
+    """L-BFGS-B on expected_error with scipy's finite-difference gradients.
+
+    The reference for optimize_banded's exact gradient: the same start,
+    iteration cap and never-worse-than-identity guard.
+    """
+    def objective(tail):
+        return mf.expected_error(w, mf.Strategy((1.0, *tail)))
+
+    identity = np.zeros(bands - 1)
+    identity_val = objective(identity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = scipy.optimize.minimize(
+            objective, identity, method="L-BFGS-B", options={"maxiter": iters}
+        )
+    if not result.fun < identity_val:
+        return mf.IDENTITY
+    return mf.Strategy((1.0, *result.x))
+
+
+@pytest.mark.parametrize("n", [16, 96, 1000])
+@pytest.mark.parametrize("bands", [2, 4, 8, 16])
+def test_optimize_no_worse_than_finite_differences(n, bands):
+    w = mf.prefix_workload(n)
+    reference = mf.expected_error(w, finite_difference_optimize(w, bands))
+    assert mf.expected_error(w, mf.optimize_banded(w, bands)) <= reference * (1 + 1e-9)
 
 
 def test_optimize_beats_identity_prefix32():

@@ -105,7 +105,11 @@ class PrivacySpec:
 
 @dataclasses.dataclass(frozen=True)
 class RdpCurve:
-    """Renyi DP values over a set of orders; composes pointwise additively."""
+    """Renyi DP values over a set of orders; composes pointwise additively.
+
+    The orders are those the accountant evaluates: ascending integers >= 2,
+    checked once per orders tuple.
+    """
 
     orders: tuple[float, ...]
     values: tuple[float, ...]
@@ -113,10 +117,7 @@ class RdpCurve:
     def __post_init__(self):
         if len(self.orders) != len(self.values):
             raise ValueError("orders and values must have equal length")
-        if any(a <= 1 for a in self.orders):
-            raise ValueError("orders must exceed 1")
-        if list(self.orders) != sorted(self.orders):
-            raise ValueError("orders must be ascending")
+        _integer_orders(tuple(self.orders))
 
 
 # Rows per block of the term grid. Orders ascend, so a block's last order is
@@ -129,7 +130,7 @@ def _integer_orders(orders: tuple) -> tuple[int, ...]:
     """The orders as ints, checked once per tuple: integers >= 2, ascending."""
     checked = []
     for a in orders:
-        if int(a) != a or a < 2:
+        if not float(a).is_integer() or a < 2:
             raise ValueError(f"orders must be integers >= 2, got {a}")
         checked.append(int(a))
     if not checked:
@@ -143,13 +144,21 @@ def _integer_orders(orders: tuple) -> tuple[int, ...]:
 def _log_binomial(orders: tuple[int, ...]) -> np.ndarray:
     """log C(alpha, k) on the padded (orders x k) grid, read-only.
 
-    -inf in the cells k > alpha, which therefore drop out of every sum.
+    -inf in the cells k > alpha, which therefore drop out of every sum. Built
+    in two grid-sized buffers, gammaln(alpha + 1) - gammaln(k + 1) minus
+    gammaln(alpha - k + 1), the operations of the whole-grid expression in
+    its order, so every cell has that expression's bits.
     """
     a = np.array(orders, dtype=np.float64)[:, None]
     k = np.arange(max(orders) + 1, dtype=np.float64)[None, :]
+    last = np.subtract(a, k)
+    last += 1
     with np.errstate(invalid="ignore"):
-        log_binom = gammaln(a + 1) - gammaln(k + 1) - gammaln(a - k + 1)
-    log_binom = np.where(k <= a, log_binom, -np.inf)
+        gammaln(last, out=last)
+    log_binom = gammaln(a + 1) - gammaln(k + 1)
+    log_binom -= last
+    del last  # before the mask is built, so at most two grids are alive
+    log_binom[k > a] = -np.inf
     log_binom.flags.writeable = False
     return log_binom
 
@@ -252,7 +261,10 @@ def compose(curve: RdpCurve, steps: int) -> RdpCurve:
     """Composes ``steps`` identical mechanisms: values scale by ``steps``."""
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    return RdpCurve(curve.orders, tuple(v * steps for v in curve.values))
+    values = np.array(curve.values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # as a float product, to +inf
+        values *= steps
+    return RdpCurve(curve.orders, tuple(values.tolist()))
 
 
 @functools.lru_cache(maxsize=8)
@@ -287,8 +299,6 @@ def rdp_to_epsilon(curve: RdpCurve, delta: float) -> tuple[float, float]:
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not curve.orders:
-        raise ValueError("empty RDP curve")
     return _to_epsilon(np.array(curve.values, dtype=np.float64), curve.orders, delta)
 
 
@@ -350,7 +360,7 @@ def epsilon(spec: PrivacySpec, orders: Sequence[int] = DEFAULT_ORDERS) -> float:
         return math.inf
     checked = _integer_orders(tuple(orders))
     values = _rdp_values(spec.sampling_prob, spec.noise_multiplier, checked)
-    with np.errstate(over="ignore"):  # as compose's float product, to +inf
+    with np.errstate(over="ignore"):  # as in compose, to +inf
         values *= spec.steps
     eps, _ = _to_epsilon(values, checked, spec.delta)
     return eps

@@ -20,6 +20,14 @@ Two bounds are computed per audit:
     omitted (a delta = 0 bound): at delta <= 1e-5 and desk-scale canary
     counts it is negligible next to the Monte-Carlo width.
 
+Both bounds are scipy.special's regularized incomplete beta function: the
+Clopper-Pearson upper limit is its inverse, betaincinv(k + 1, n - k, c), and
+the binomial tail P[Binom(r, p) >= v] is betainc(v, r - v + 1, p). These
+are the functions scipy.stats.beta.ppf and scipy.stats.binom.sf evaluate,
+and the tests check the equality bit for bit. Importing scipy.stats instead
+would load about 45 MB of modules, scipy.optimize and scipy.linalg among
+them, into every process that imports this one.
+
 Canary inclusion uses a fair coin (probability 1/2), matching the one-run
 bound's assumptions without an extra tracked parameter.
 """
@@ -31,7 +39,7 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.stats
+from scipy.special import betainc, betaincinv
 
 from . import prng, training
 from .models import Dataset, GradientVector, Model, batch_losses
@@ -143,7 +151,12 @@ def _clopper_pearson_upper(k: int, n: int, confidence: float) -> float:
         raise ValueError("need at least one trial")
     if k >= n:
         return 1.0
-    return float(scipy.stats.beta.ppf(confidence, k + 1, n - k))
+    return float(betaincinv(k + 1, n - k, confidence))
+
+
+def _binomial_tail(v: int, r: int, p: float) -> float:
+    """P[Binom(r, p) >= v] for 1 <= v <= r: the regularized incomplete beta I_p(v, r - v + 1)."""
+    return float(betainc(v, r - v + 1, p))
 
 
 def clopper_pearson_epsilon(
@@ -218,8 +231,7 @@ def one_run_epsilon(r: int, v: int, m: int, confidence: float) -> float:
     alpha = 1.0 - confidence
 
     def tail(eps: float) -> float:
-        p = 1.0 / (1.0 + math.exp(-eps))
-        return float(scipy.stats.binom.sf(v - 1, r, p))
+        return _binomial_tail(v, r, 1.0 / (1.0 + math.exp(-eps)))
 
     if tail(0.0) > alpha:
         return 0.0

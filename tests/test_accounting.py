@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -179,6 +180,22 @@ def test_log_binomial_grid_reuse_is_bit_identical():
         assert np.isfinite(grid).sum() == grid.size - above[0].size
 
 
+def test_log_binomial_grid_built_in_two_grids_of_memory():
+    # The first calibration for a set of orders builds this grid; three
+    # grid-sized temporaries alive at once would make that its peak.
+    orders = (*range(2, 300), 317, 480)
+    before = accounting._log_binomial.cache_info().misses
+    tracemalloc.start()
+    try:
+        grid = accounting._log_binomial(orders)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert accounting._log_binomial.cache_info().misses == before + 1
+    assert grid.shape == (len(orders), 481)
+    assert peak <= 2.2 * grid.nbytes, peak / grid.nbytes
+
+
 @functools.cache
 def reference_log_binomial(orders):
     a = np.array(orders, dtype=np.float64)[:, None]
@@ -248,6 +265,33 @@ def test_compose():
     assert accounting.compose(accounting.compose(curve, 2), 3).values == pytest.approx(
         accounting.compose(curve, 6).values
     )
+
+
+def test_compose_scales_as_float_products():
+    # One vector multiply gives each value's float product, bit for bit,
+    # and overflows to +inf without a warning.
+    curve = accounting.rdp_subsampled_gaussian(0.1, 10.0)
+    for steps in (1, 3, 600, 10**6, 2**53 + 1):
+        assert accounting.compose(curve, steps).values == tuple(v * steps for v in curve.values)
+    huge = accounting.RdpCurve((2.0, 3.0, 4.0), (1e300, math.inf, math.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = accounting.compose(huge, 10**9).values
+    assert values[:2] == (math.inf, math.inf) and math.isnan(values[2])
+
+
+@pytest.mark.parametrize("orders, values, message", [
+    ((2.0, 3.0), (0.1,), "equal length"),
+    ((1.0, 2.0), (0.1, 0.2), "integers >= 2"),
+    ((0.5,), (0.1,), "integers >= 2"),
+    ((2.5, 3.0), (0.1, 0.2), "integers >= 2"),
+    ((2.0, math.inf), (0.1, 0.2), "integers >= 2"),
+    ((3.0, 2.0), (0.1, 0.2), "ascending"),
+    ((), (), "non-empty"),
+])
+def test_rdp_curve_rejects_invalid_orders(orders, values, message):
+    with pytest.raises(ValueError, match=message):
+        accounting.RdpCurve(orders, values)
 
 
 def test_rdp_to_epsilon_single_order():

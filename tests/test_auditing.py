@@ -127,6 +127,28 @@ def test_clopper_pearson_confidence_monotone():
     assert eps_values[0] >= eps_values[1] >= eps_values[2]
 
 
+def test_clopper_pearson_upper_equals_beta_quantile():
+    # The program inverts scipy.special's regularized incomplete beta;
+    # scipy.stats, the reference here, evaluates the same function.
+    for n in [*range(1, 60), 100, 250, 500, 1000]:
+        for c in (0.5, 0.9, 0.95, 0.99, 0.999):
+            got = [auditing._clopper_pearson_upper(k, n, c) for k in range(n)]
+            want = scipy.stats.beta.ppf(c, np.arange(n) + 1, n - np.arange(n))
+            assert got == want.tolist(), (n, c)
+
+
+def test_binomial_tail_equals_binomial_survival_function():
+    for r in [*range(1, 120), 200, 500]:
+        v = np.arange(1, r + 1)
+        for p in (0.01, 0.2, 0.5, 1.0 / (1.0 + math.exp(-1.0)), 0.8, 0.95, 0.999):
+            got = [auditing._binomial_tail(int(x), r, p) for x in v]
+            assert got == scipy.stats.binom.sf(v - 1, r, p).tolist(), (r, p)
+
+
+def test_one_run_epsilon_pinned():
+    assert auditing.one_run_epsilon(100, 88, 500, 0.95) == 1.468505859375
+
+
 def test_one_run_chance_level_zero():
     assert auditing.one_run_epsilon(100, 50, 200, 0.95) == 0.0
     assert auditing.one_run_epsilon(100, 30, 200, 0.95) == 0.0

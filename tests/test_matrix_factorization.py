@@ -248,14 +248,30 @@ def test_optimize_horizon_beyond_dense_memory():
     assert mf.expected_error(mf.prefix_workload(n), s) < n * (n + 1) / 2
 
 
-def test_training_import_leaves_out_scipy_signal():
-    # Importing scipy.signal takes over half a second, which every run would pay.
-    code = "import sys, dpcore.training; print('scipy.signal' in sys.modules)"
+def test_cli_import_defers_scipy_modules_to_strategy_search():
+    # Every run imports the CLI, which pulls in training, auditing and
+    # accounting. scipy.stats, scipy.optimize, scipy.linalg and scipy.signal
+    # would add tens of MB and most of a second of start-up to each, so
+    # none of them loads until a banded strategy search needs the last two.
+    code = """if True:
+        import sys
+        import dpcore.cli
+        from dpcore import matrix_factorization as mf
+        deferred = ("scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.signal")
+        print([name for name in deferred if name in sys.modules])
+        w = mf.prefix_workload(16)
+        print(mf.expected_error(w, mf.optimize_banded(w, 3)))
+        print([name for name in deferred if name in sys.modules])
+    """
     src = os.path.dirname(os.path.dirname(mf.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "False"
+    before, error, after = out.stdout.splitlines()
+    assert before == "[]"
+    w = mf.prefix_workload(16)
+    assert float(error) == mf.expected_error(w, mf.optimize_banded(w, 3))
+    assert after == "['scipy.optimize', 'scipy.linalg']"
 
 
 def test_strategy_normalization_enforced():

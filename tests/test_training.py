@@ -300,8 +300,9 @@ def test_benchmark_steady_state_stability():
     # shared CPU, load from other processes comes and goes in phases of a
     # few hundred ms that can double the step time, longer than a whole
     # 250-step window (~0.1 s). So the two window lengths run back to back
-    # in 17 pairs, and each length's throughput is pooled over all its
-    # windows (over 1 s at 250 steps).
+    # in 17 pairs, the shorter first in every other pair so that no phase of
+    # load favours one length, and each length's throughput is pooled over
+    # all its windows (over 1 s at 250 steps).
     def cfg(steps):
         return training.config_from_dict({
             "model": {"kind": "mlp", "input_dim": 20, "hidden_dim": 64},
@@ -316,8 +317,8 @@ def test_benchmark_steady_state_stability():
         })
 
     seconds = {250: 0.0, 500: 0.0}
-    for _ in range(17):
-        for steps in seconds:
+    for pair in range(17):
+        for steps in (250, 500) if pair % 2 == 0 else (500, 250):
             throughput = training.run_benchmark(cfg(steps)).max_throughput["dpsgd"]
             seconds[steps] += steps * 128 / throughput
     base = 17 * 250 * 128 / seconds[250]

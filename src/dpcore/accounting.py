@@ -10,7 +10,7 @@ Canonne, Kamath and Steinke 2020 (Prop. 12),
                                  + (log(1/delta) - log(alpha)) / (alpha - 1) ]).
 
 The subsampled-Gaussian RDP at integer order alpha is the exact binomial
-expansion
+expansion, evaluated at the fixed orders alpha = 2..512,
 
     RDP(alpha) = log( sum_{k=0..alpha} C(alpha,k) (1-q)^(alpha-k) q^k
                       * exp(k(k-1) / (2 sigma^2)) ) / (alpha - 1).
@@ -18,18 +18,18 @@ expansion
 At q = 1 it reduces to alpha / (2 sigma^2). Otherwise all orders are
 evaluated on a padded (orders x k) grid of log terms. Its sigma-free part,
 (alpha - k) log(1-q) + log C(alpha, k) + k log q (-inf where k > alpha), is
-cached per (orders, q), so a calibration builds it once and each trial sigma
+cached per q, so a calibration builds it once and each trial sigma
 adds only k(k-1) / (2 sigma^2) along k. Each row is reduced as
 m + log1p(sum of exp(term - m) over the other terms), m the row's largest
 term; log1p keeps the small remainder exact when one term dominates, as it
 does at tiny q and large sigma. Rows go in blocks of 64 ascending orders,
 and a block exponentiates only the columns up to its largest order, about
-half the grid at the default orders 2..512. The sums still run over
-full-width rows, the cells k > alpha as exact zeros, so every value is the
-whole-grid evaluation's, bit for bit. The conversion below is one vector
-pass with its per-(orders, delta) constants cached. One epsilon at the
-default orders takes about 0.8 ms (2.3 ms exponentiating the whole grid) on
-a 2-vCPU Xeon with one BLAS thread; a calibration, 20 of them, about 20 ms.
+half the grid. The sums still run over full-width rows, the cells
+k > alpha as exact zeros, so every value is the whole-grid evaluation's,
+bit for bit. The conversion below is one vector pass with its per-delta
+constants cached. One epsilon takes about 0.8 ms (2.3 ms exponentiating
+the whole grid) on a 2-vCPU Xeon with one BLAS thread; a calibration, 20 of
+them, about 20 ms.
 
 The independent oracle for one step at q = 1 is the analytic Gaussian
 mechanism: the exact two-term expression
@@ -59,12 +59,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr
 
-DEFAULT_ORDERS = tuple(range(2, 513))
+# The integer RDP orders the accountant evaluates and minimizes over.
+ORDERS = tuple(range(2, 513))
+_ALPHAS = np.array(ORDERS, dtype=np.float64)
+_K = np.arange(ORDERS[-1] + 1, dtype=np.float64)  # binomial indices 0..max order
+_ALPHAS.flags.writeable = _K.flags.writeable = False
 
 
 class CalibrationRangeError(ValueError):
@@ -77,7 +80,8 @@ class PrivacySpec:
 
     Attributes:
       epsilon: Privacy budget; may be math.inf (e.g. when noise_multiplier
-        is 0).
+        is 0). Only the zero-noise check reads it, and the program passes
+        math.inf; it stays because the benchmark's tests pass it by keyword.
       delta: Approximate-DP slack in (0, 1).
       noise_multiplier: Ratio of noise stddev to sensitivity (sigma).
       sampling_prob: Poisson inclusion probability q in [0, 1].
@@ -103,45 +107,13 @@ class PrivacySpec:
             raise ValueError("zero noise implies epsilon = inf")
 
 
-@dataclasses.dataclass(frozen=True)
-class RdpCurve:
-    """Renyi DP values over a set of orders; composes pointwise additively.
-
-    The orders are those the accountant evaluates: ascending integers >= 2,
-    checked once per orders tuple.
-    """
-
-    orders: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.orders) != len(self.values):
-            raise ValueError("orders and values must have equal length")
-        _integer_orders(tuple(self.orders))
-
-
 # Rows per block of the term grid. Orders ascend, so a block's last order is
 # its widest and the cells right of it are -inf in every row of the block.
 _BLOCK_ROWS = 64
 
 
-@functools.lru_cache(maxsize=8)
-def _integer_orders(orders: tuple) -> tuple[int, ...]:
-    """The orders as ints, checked once per tuple: integers >= 2, ascending."""
-    checked = []
-    for a in orders:
-        if not float(a).is_integer() or a < 2:
-            raise ValueError(f"orders must be integers >= 2, got {a}")
-        checked.append(int(a))
-    if not checked:
-        raise ValueError("orders must be non-empty")
-    if checked != sorted(checked):
-        raise ValueError("orders must be ascending")
-    return tuple(checked)
-
-
-@functools.lru_cache(maxsize=8)
-def _log_binomial(orders: tuple[int, ...]) -> np.ndarray:
+@functools.cache
+def _log_binomial() -> np.ndarray:
     """log C(alpha, k) on the padded (orders x k) grid, read-only.
 
     -inf in the cells k > alpha, which therefore drop out of every sum. Built
@@ -149,8 +121,7 @@ def _log_binomial(orders: tuple[int, ...]) -> np.ndarray:
     gammaln(alpha - k + 1), the operations of the whole-grid expression in
     its order, so every cell has that expression's bits.
     """
-    a = np.array(orders, dtype=np.float64)[:, None]
-    k = np.arange(max(orders) + 1, dtype=np.float64)[None, :]
+    a, k = _ALPHAS[:, None], _K[None, :]
     last = np.subtract(a, k)
     last += 1
     with np.errstate(invalid="ignore"):
@@ -164,48 +135,49 @@ def _log_binomial(orders: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _sigma_free_terms(orders: tuple[int, ...], q: float) -> np.ndarray:
+def _sigma_free_terms(q: float) -> np.ndarray:
     """(alpha - k) log(1-q) + log C(alpha, k) + k log q on the grid, read-only.
 
     The part of every log term that does not depend on sigma, added in this
     order; the cells k > alpha are -inf.
     """
-    log_binom = _log_binomial(orders)
-    a = np.array(orders, dtype=np.float64)[:, None]
-    k = np.arange(max(orders) + 1, dtype=np.float64)
-    terms = a - k
+    log_binom = _log_binomial()  # first, so its build never overlaps this grid
+    terms = _ALPHAS[:, None] - _K
     terms *= math.log1p(-q)
     terms += log_binom
-    terms += k * math.log(q)
+    terms += _K * math.log(q)
     terms.flags.writeable = False
     return terms
 
 
-def _rdp_values(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
-    """Subsampled-Gaussian RDP at each checked order, as a fresh array."""
-    alphas = np.array(orders, dtype=np.float64)
+def _rdp_values(q: float, sigma: float) -> np.ndarray:
+    """Subsampled-Gaussian RDP at each of the orders, as a fresh array.
+
+    +inf, without a warning, at every order when sigma = 0 or 1 / sigma^2
+    overflows, and at each order whose largest exponent overflows: order 512
+    below a sigma of about 2.7e-152.
+    """
     if sigma == 0.0:
-        return np.full(alphas.shape, math.inf)
+        return np.full(_ALPHAS.shape, math.inf)
     if q == 0.0:
-        return np.zeros(alphas.shape)
+        return np.zeros(_ALPHAS.shape)
     if q == 1.0:
         with np.errstate(over="ignore", divide="ignore"):
-            return alphas / (2.0 * sigma * sigma)
+            return _ALPHAS / (2.0 * sigma * sigma)
 
     # Rows are independent binomial expansions, summed as max + log1p(sum of
     # exp(term - max) over the other terms). A block of rows works on the
     # columns up to its largest order, contiguous so that exp runs as one
     # loop; its rows are then summed at full width, with zeros to the right,
     # since numpy's pairwise summation groups terms by row length.
-    base = _sigma_free_terms(orders, q)
-    k = np.arange(base.shape[1], dtype=np.float64)
+    base = _sigma_free_terms(q)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        growth = k * (k - 1) / (2.0 * sigma * sigma)
-    # An order whose largest exponent, alpha (alpha - 1) / (2 sigma^2), is not
-    # a finite float gets +inf, an upper bound. The exponents grow with k, so
-    # these are the last orders, and the others never read an infinite cell.
-    finite = int(np.isfinite(growth[alphas.astype(np.intp)]).sum())
-    values = np.full(len(orders), math.inf)
+        growth = _K * (_K - 1) / (2.0 * sigma * sigma)
+    # An order whose largest exponent, growth[alpha], is not a finite float
+    # gets +inf, an upper bound. The exponents grow with k, so these are the
+    # last orders, and the others never read an infinite cell.
+    finite = int(np.isfinite(growth[ORDERS[0]:]).sum())
+    values = np.full(len(ORDERS), math.inf)
     if finite == 0:
         return values
     rows = min(_BLOCK_ROWS, finite)
@@ -215,7 +187,7 @@ def _rdp_values(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
     rest = np.empty(finite)
     for r0 in range(0, finite, rows):
         r1 = min(r0 + rows, finite)
-        width = orders[r1 - 1] + 1
+        width = ORDERS[r1 - 1] + 1
         live = live_buffer[: (r1 - r0) * width].reshape(r1 - r0, width)
         np.add(base[r0:r1, :width], growth[:width], out=live)
         index = np.arange(r1 - r0), live.argmax(axis=1)
@@ -225,81 +197,33 @@ def _rdp_values(q: float, sigma: float, orders: tuple[int, ...]) -> np.ndarray:
         np.exp(live, out=live)
         wide[: r1 - r0, :width] = live
         wide[: r1 - r0].sum(axis=1, out=rest[r0:r1])
-    values[:finite] = (peak + np.log1p(rest)) / (alphas[:finite] - 1)
+    values[:finite] = (peak + np.log1p(rest)) / (_ALPHAS[:finite] - 1)
     return values
 
 
-def rdp_subsampled_gaussian(
-    q: float, sigma: float, orders: Sequence[int] = DEFAULT_ORDERS
-) -> RdpCurve:
-    """RDP curve of the Poisson-subsampled Gaussian mechanism.
-
-    Integer orders only: the exact binomial expansion applies. sigma = 0
-    yields infinite values at every order. So does a sigma so small that an
-    order's largest exponent, alpha (alpha - 1) / (2 sigma^2), overflows, at
-    that order: at order 512 below about 2.7e-152, at every order once
-    1 / sigma^2 overflows. Neither case warns.
-
-    Args:
-      q: Poisson sampling probability in [0, 1].
-      sigma: Noise multiplier (stddev / sensitivity).
-      orders: Ascending integer orders >= 2.
-
-    Returns:
-      The RDP curve over ``orders``.
-    """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    checked = _integer_orders(tuple(orders))
-    values = _rdp_values(q, sigma, checked)
-    return RdpCurve(tuple(map(float, checked)), tuple(values.tolist()))
-
-
-def compose(curve: RdpCurve, steps: int) -> RdpCurve:
-    """Composes ``steps`` identical mechanisms: values scale by ``steps``."""
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    values = np.array(curve.values, dtype=np.float64)
-    with np.errstate(over="ignore"):  # as a float product, to +inf
-        values *= steps
-    return RdpCurve(curve.orders, tuple(values.tolist()))
-
-
 @functools.lru_cache(maxsize=8)
-def _conversion_terms(orders: tuple[float, ...], delta: float) -> tuple[np.ndarray, np.ndarray]:
+def _conversion_terms(delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Per order, log(1 - 1/alpha) and (log(1/delta) - log(alpha)) / (alpha - 1)."""
     log_inv_delta = math.log(1.0 / delta)
-    shrink = np.array([math.log1p(-1.0 / a) for a in orders])
-    slack = np.array([(log_inv_delta - math.log(a)) / (a - 1) for a in orders])
+    shrink = np.array([math.log1p(-1.0 / a) for a in ORDERS])
+    slack = np.array([(log_inv_delta - math.log(a)) / (a - 1) for a in ORDERS])
     shrink.flags.writeable = slack.flags.writeable = False
     return shrink, slack
 
 
-def _to_epsilon(
-    values: np.ndarray, orders: tuple[float, ...], delta: float
-) -> tuple[float, float]:
-    """(epsilon, minimizing order) of RDP ``values`` over ``orders``, in one pass."""
-    shrink, slack = _conversion_terms(orders, delta)
-    eps = values + shrink
-    eps += slack
-    eps[np.isnan(eps)] = math.inf  # an undefined order bounds nothing
-    best = int(eps.argmin())  # the first of tied orders
-    return max(float(eps[best]), 0.0), orders[best]
-
-
-def rdp_to_epsilon(curve: RdpCurve, delta: float) -> tuple[float, float]:
-    """RDP-to-DP conversion; returns (epsilon, minimizing order).
+def _to_epsilon(values: np.ndarray, delta: float) -> float:
+    """RDP-to-DP conversion of RDP ``values`` at the orders, in one pass.
 
     Balle et al. 2020 (Thm. 21), as in the module docstring: per order,
     RDP(alpha) + log(1 - 1/alpha) + (log(1/delta) - log(alpha)) / (alpha - 1),
     minimized over the orders and clamped at 0. Each order's value is a valid
     bound, and below the classic RDP(alpha) + log(1/delta) / (alpha - 1).
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return _to_epsilon(np.array(curve.values, dtype=np.float64), curve.orders, delta)
+    shrink, slack = _conversion_terms(delta)
+    eps = values + shrink
+    eps += slack
+    eps[np.isnan(eps)] = math.inf  # an undefined order bounds nothing
+    return max(float(eps.min()), 0.0)
 
 
 def _analytic_delta(eps: float, sigma: float) -> float:
@@ -348,7 +272,7 @@ def analytic_gaussian_epsilon(sigma: float, delta: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def epsilon(spec: PrivacySpec, orders: Sequence[int] = DEFAULT_ORDERS) -> float:
+def epsilon(spec: PrivacySpec) -> float:
     """Epsilon of T composed Poisson-subsampled Gaussian steps.
 
     Precondition: every step's batch is a Poisson sample of the dataset,
@@ -358,12 +282,10 @@ def epsilon(spec: PrivacySpec, orders: Sequence[int] = DEFAULT_ORDERS) -> float:
     """
     if spec.noise_multiplier == 0.0:
         return math.inf
-    checked = _integer_orders(tuple(orders))
-    values = _rdp_values(spec.sampling_prob, spec.noise_multiplier, checked)
-    with np.errstate(over="ignore"):  # as in compose, to +inf
+    values = _rdp_values(spec.sampling_prob, spec.noise_multiplier)
+    with np.errstate(over="ignore"):  # composition: a float product per order, to +inf
         values *= spec.steps
-    eps, _ = _to_epsilon(values, checked, spec.delta)
-    return eps
+    return _to_epsilon(values, spec.delta)
 
 
 _SIGMA_BRACKET = (1e-2, 1e3)
@@ -398,13 +320,8 @@ def _smallest_sigma(target_epsilon: float, measure, limit: float, tolerance: flo
     return hi
 
 
-def calibrate_noise(
-    target_epsilon: float,
-    delta: float,
-    sampling_prob: float,
-    steps: int,
-    orders: Sequence[int] = DEFAULT_ORDERS,
-) -> float:
+def calibrate_noise(target_epsilon: float, delta: float, sampling_prob: float,
+                    steps: int) -> float:
     """Smallest noise multiplier meeting a privacy target.
 
     Bisects sigma on a relative grid (tolerance 1e-4) within the bracket
@@ -416,7 +333,7 @@ def calibrate_noise(
     """
     return _smallest_sigma(
         target_epsilon,
-        lambda s: epsilon(PrivacySpec(math.inf, delta, s, sampling_prob, steps), orders),
+        lambda s: epsilon(PrivacySpec(math.inf, delta, s, sampling_prob, steps)),
         target_epsilon,
         1e-4,
     )

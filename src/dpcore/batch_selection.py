@@ -43,7 +43,8 @@ def cyclic_epoch_length(sampling_prob: float) -> int:
 @dataclasses.dataclass(frozen=True)
 class BatchConfig:
     """A strategy and its one parameter: the inclusion probability q of the
-    Poisson family, or the batch size B of shuffled-fixed."""
+    Poisson family, or the batch size B of shuffled-fixed. The other field
+    must be left out."""
 
     strategy: str
     sampling_prob: Optional[float] = None
@@ -56,8 +57,13 @@ class BatchConfig:
         if self.strategy == SHUFFLED_FIXED:
             if b is None or b < 1:
                 raise ValueError(f"shuffled-fixed requires batch_size >= 1, got {b}")
-        elif q is None or not 0.0 < q <= 1.0:
-            raise ValueError(f"{self.strategy} requires sampling_prob in (0, 1], got {q}")
+            if q is not None:
+                raise ValueError("shuffled-fixed does not read batch.sampling_prob; remove it")
+        else:
+            if q is None or not 0.0 < q <= 1.0:
+                raise ValueError(f"{self.strategy} requires sampling_prob in (0, 1], got {q}")
+            if b is not None:
+                raise ValueError(f"{self.strategy} does not read batch.batch_size; remove it")
 
 
 @dataclasses.dataclass(frozen=True)

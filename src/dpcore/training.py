@@ -284,10 +284,9 @@ def validate_config(cfg: RunConfig) -> None:
              f"a {model.kind} model trains on log loss, which needs labels in [0, 1]; "
              "dataset.task is regression")
     if cfg.mechanism == "none":
-        _require(
-            cfg.privacy is None,
-            "mechanism 'none' is the non-private baseline; remove privacy fields",
-        )
+        for section in ("privacy", "clip"):
+            _require(getattr(cfg, section) is None,
+                     f"mechanism 'none' is the non-private baseline; remove the {section} section")
         return
 
     _require(cfg.privacy is not None, f"mechanism {cfg.mechanism!r} requires privacy fields")

@@ -112,13 +112,12 @@ def test_criterion_04_accounting_reductions():
     # (a) q=1 reduction to the Gaussian RDP closed form
     reduction_err = 0.0
     for sigma in (0.5, 1.0, 2.0):
-        curve = accounting.rdp_subsampled_gaussian(1.0, sigma)
-        for a, v in zip(curve.orders, curve.values):
+        values = accounting._rdp_values(1.0, sigma)
+        for a, v in zip(accounting.ORDERS, values):
             reduction_err = max(reduction_err, abs(v - a / (2 * sigma**2)))
     # (b) q=1, T=1 epsilon vs the exact analytic-Gaussian oracle at the
     # documented example point sigma=1, delta=1e-5
-    curve = accounting.rdp_subsampled_gaussian(1.0, 1.0)
-    eps_rdp, _ = accounting.rdp_to_epsilon(accounting.compose(curve, 1), 1e-5)
+    eps_rdp = accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, 1.0, 1.0, 1))
     eps_ana = accounting.analytic_gaussian_epsilon(1.0, 1e-5)
     gap = abs(eps_rdp - eps_ana) / eps_ana
     # (c) monotonicity on a 5x5x5 grid

@@ -27,26 +27,27 @@ def mpmath_rdp(q, sigma, alpha):
         return float(mpmath.log(total) / (alpha - 1))
 
 
+ORDERS = accounting.ORDERS
+
+
 def test_q_one_reduces_to_gaussian_rdp():
     for sigma in (0.5, 1.0, 3.0):
-        curve = accounting.rdp_subsampled_gaussian(1.0, sigma)
-        for a, v in zip(curve.orders, curve.values):
+        values = accounting._rdp_values(1.0, sigma)
+        for a, v in zip(ORDERS, values):
             assert abs(v - a / (2 * sigma**2)) < 1e-9
 
 
 def test_q_one_alpha_two_exact():
-    curve = accounting.rdp_subsampled_gaussian(1.0, 1.0, [2])
-    assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
+    assert ORDERS[0] == 2
+    assert accounting._rdp_values(1.0, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_q_zero_all_zero():
-    curve = accounting.rdp_subsampled_gaussian(0.0, 1.0)
-    assert all(v == 0.0 for v in curve.values)
+    assert np.all(accounting._rdp_values(0.0, 1.0) == 0.0)
 
 
 def test_sigma_zero_infinite_values():
-    curve = accounting.rdp_subsampled_gaussian(0.5, 0.0, [2, 3])
-    assert all(math.isinf(v) for v in curve.values)
+    assert np.all(accounting._rdp_values(0.5, 0.0) == math.inf)
 
 
 @pytest.mark.parametrize("q", [0.1, 1.0])
@@ -56,9 +57,9 @@ def test_sigma_too_small_for_finite_curve(sigma, q):
     # and neither the curve nor epsilon warns.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        curve = accounting.rdp_subsampled_gaussian(q, sigma)
+        values = accounting._rdp_values(q, sigma)
         eps = accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, sigma, q, 100))
-    assert all(v == math.inf for v in curve.values)
+    assert np.all(values == math.inf)
     assert eps == math.inf
 
 
@@ -69,11 +70,11 @@ def test_sigma_overflowing_high_orders_only(sigma, q):
     # orders are +inf, and the lower ones keep their exact values.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        curve = accounting.rdp_subsampled_gaussian(q, sigma)
+        values = accounting._rdp_values(q, sigma)
         eps = accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, sigma, q, 100))
-    assert eps == accounting.rdp_to_epsilon(accounting.compose(curve, 100), 1e-5)[0]
-    values = curve.values
-    finite = [math.isfinite(v) for v in values]
+    with np.errstate(over="ignore"):
+        assert eps == accounting._to_epsilon(values * 100, 1e-5)
+    finite = np.isfinite(values).tolist()
     assert 0 < finite.count(True) < len(values)
     assert finite == sorted(finite, reverse=True)  # the infinite orders are the last
     for alpha in (2, 3, 4):
@@ -82,21 +83,17 @@ def test_sigma_overflowing_high_orders_only(sigma, q):
 
 
 def test_invalid_arguments():
-    with pytest.raises(ValueError):
-        accounting.rdp_subsampled_gaussian(1.5, 1.0)
-    with pytest.raises(ValueError):
-        accounting.rdp_subsampled_gaussian(0.5, 1.0, [1])
-    with pytest.raises(ValueError):
-        accounting.rdp_subsampled_gaussian(0.5, 1.0, [2.5])
-    with pytest.raises(ValueError):
-        accounting.rdp_subsampled_gaussian(0.5, 1.0, [])
+    # A q outside [0, 1] or a negative sigma never reaches the accountant.
+    for q, sigma in ((1.5, 1.0), (-0.1, 1.0), (0.5, -1.0)):
+        with pytest.raises(ValueError):
+            accounting.PrivacySpec(math.inf, 1e-5, sigma, q, 10)
 
 
 def test_subsampled_rdp_matches_extended_precision():
     q, sigma = 0.01, 1.0
-    curve = accounting.rdp_subsampled_gaussian(q, sigma, list(range(2, 65)))
-    for a, v in zip(curve.orders, curve.values):
-        ref = mpmath_rdp(q, sigma, int(a))
+    values = accounting._rdp_values(q, sigma)
+    for a, v in zip(ORDERS[:63], values):  # orders 2..64
+        ref = mpmath_rdp(q, sigma, a)
         assert abs(v - ref) / ref < 1e-6
 
 
@@ -133,47 +130,48 @@ _RDP_REFERENCE_ERROR = {
 def test_rdp_within_reference_error_of_extended_precision(q, sigma):
     # Small q and large sigma put nearly all of the sum in its k = 0 term;
     # the reduction must keep the remainder as exactly as before.
-    orders = [2, 8, 32, 202, 512]
-    curve = accounting.rdp_subsampled_gaussian(q, sigma, orders)
-    for a, v in zip(orders, curve.values):
-        ref = mpmath_rdp_by_ratio(q, sigma, a)
+    values = accounting._rdp_values(q, sigma)
+    for a in (2, 8, 32, 202, 512):
+        v, ref = values[a - 2], mpmath_rdp_by_ratio(q, sigma, a)
         assert abs(v - ref) <= _RDP_REFERENCE_ERROR[q, sigma] * ref, (a, v, ref)
+
+
+@functools.cache
+def reference_log_binomial():
+    a = np.array(ORDERS, dtype=np.float64)[:, None]
+    k = np.arange(max(ORDERS) + 1, dtype=np.float64)[None, :]
+    with np.errstate(invalid="ignore"):
+        log_binom = (scipy.special.gammaln(a + 1) - scipy.special.gammaln(k + 1)
+                     - scipy.special.gammaln(a - k + 1))
+    return np.where(k <= a, log_binom, -np.inf)
 
 
 def test_rdp_reduction_matches_scipy_logsumexp():
     # The hand-written max + log1p reduction gives scipy's logsumexp, which
     # also sets the largest term apart and adds log1p of the rest, bit for
     # bit on the same masked grid.
-    orders = list(range(2, 129))
-    a = np.array(orders, dtype=np.float64)[:, None]
-    k = np.arange(max(orders) + 1, dtype=np.float64)[None, :]
+    a = np.array(ORDERS, dtype=np.float64)[:, None]
+    k = np.arange(max(ORDERS) + 1, dtype=np.float64)[None, :]
     for q, sigma in ((1e-4, 100.0), (0.005, 0.8), (0.1, 1.0), (0.5, 10.0), (0.9, 0.6)):
-        with np.errstate(invalid="ignore"):
-            terms = (
-                scipy.special.gammaln(a + 1) - scipy.special.gammaln(k + 1)
-                - scipy.special.gammaln(a - k + 1)
-                + (a - k) * math.log1p(-q) + k * math.log(q) + k * (k - 1) / (2 * sigma**2)
-            )
-        want = scipy.special.logsumexp(np.where(k <= a, terms, -np.inf), axis=1) / (a[:, 0] - 1)
-        got = accounting.rdp_subsampled_gaussian(q, sigma, orders).values
-        assert got == tuple(float(v) for v in want)
+        terms = (reference_log_binomial() + (a - k) * math.log1p(-q) + k * math.log(q)
+                 + k * (k - 1) / (2 * sigma**2))
+        want = scipy.special.logsumexp(terms, axis=1) / (a[:, 0] - 1)
+        assert accounting._rdp_values(q, sigma).tolist() == want.tolist()
 
 
 def test_log_binomial_grid_reuse_is_bit_identical():
-    # The cached grids are shared across sigma for the same orders (and q);
+    # The cached grids are shared across sigma (and, per q, across calls);
     # reusing them, also when two q values alternate, must give exactly the
     # values of a fresh computation.
-    orders = list(range(2, 65))
-    key = tuple(orders)
     calls = ((0.01, 1.0), (0.2, 0.6), (0.01, 1.0), (0.2, 0.6), (0.01, 0.7))
-    warm = [accounting.rdp_subsampled_gaussian(q, s, orders) for q, s in calls]
-    for (q, s), curve in zip(calls, warm):
+    warm = [accounting._rdp_values(q, s).tolist() for q, s in calls]
+    for (q, s), values in zip(calls, warm):
         accounting._log_binomial.cache_clear()
         accounting._sigma_free_terms.cache_clear()
-        assert curve == accounting.rdp_subsampled_gaussian(q, s, orders)
-    log_binom = accounting._log_binomial(key)
-    grids = [log_binom] + [accounting._sigma_free_terms(key, q) for q in (0.01, 0.2)]
-    above = np.triu_indices(len(orders), 3, log_binom.shape[1])  # the cells k > alpha
+        assert values == accounting._rdp_values(q, s).tolist()
+    log_binom = accounting._log_binomial()
+    grids = [log_binom] + [accounting._sigma_free_terms(q) for q in (0.01, 0.2)]
+    above = np.triu_indices(len(ORDERS), 3, log_binom.shape[1])  # the cells k > alpha
     for grid in grids:
         assert not grid.flags.writeable
         assert np.all(np.isneginf(grid[above]))
@@ -181,37 +179,37 @@ def test_log_binomial_grid_reuse_is_bit_identical():
 
 
 def test_log_binomial_grid_built_in_two_grids_of_memory():
-    # The first calibration for a set of orders builds this grid; three
-    # grid-sized temporaries alive at once would make that its peak.
-    orders = (*range(2, 300), 317, 480)
-    before = accounting._log_binomial.cache_info().misses
+    # The first calibration builds this grid; three grid-sized temporaries
+    # alive at once would make that its peak.
+    accounting._log_binomial.cache_clear()
     tracemalloc.start()
     try:
-        grid = accounting._log_binomial(orders)
+        grid = accounting._log_binomial()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert accounting._log_binomial.cache_info().misses == before + 1
-    assert grid.shape == (len(orders), 481)
+    assert accounting._log_binomial.cache_info().misses == 1
+    assert grid.shape == (len(ORDERS), 513)
+    assert peak <= 2.2 * grid.nbytes, peak / grid.nbytes
+    # A cold sigma-free grid builds this one first, so the two builds never
+    # overlap: the peak stays at the two grids that are kept.
+    accounting._log_binomial.cache_clear()
+    accounting._sigma_free_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        accounting._sigma_free_terms(0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak <= 2.2 * grid.nbytes, peak / grid.nbytes
 
 
-@functools.cache
-def reference_log_binomial(orders):
-    a = np.array(orders, dtype=np.float64)[:, None]
-    k = np.arange(max(orders) + 1, dtype=np.float64)[None, :]
-    with np.errstate(invalid="ignore"):
-        log_binom = (scipy.special.gammaln(a + 1) - scipy.special.gammaln(k + 1)
-                     - scipy.special.gammaln(a - k + 1))
-    return np.where(k <= a, log_binom, -np.inf)
-
-
-def reference_rdp(q, sigma, orders):
+def reference_rdp(q, sigma):
     """The full-grid evaluation: every (order, k) cell exponentiated."""
-    a = np.array(orders, dtype=np.float64)[:, None]
-    k = np.arange(max(orders) + 1, dtype=np.float64)
+    a = np.array(ORDERS, dtype=np.float64)[:, None]
+    k = np.arange(max(ORDERS) + 1, dtype=np.float64)
     log_terms = (a - k) * math.log1p(-q)
-    log_terms += reference_log_binomial(orders)
+    log_terms += reference_log_binomial()
     log_terms += k * math.log(q)
     log_terms += k * (k - 1) / (2.0 * sigma * sigma)
     rows = np.arange(log_terms.shape[0])
@@ -220,144 +218,135 @@ def reference_rdp(q, sigma, orders):
     log_terms -= peak[:, None]
     log_terms[rows, top] = -np.inf
     rest = np.exp(log_terms, out=log_terms).sum(axis=1)
-    return tuple(((peak + np.log1p(rest)) / (a[:, 0] - 1)).tolist())
+    return ((peak + np.log1p(rest)) / (a[:, 0] - 1)).tolist()
 
 
-@pytest.mark.parametrize("orders", [accounting.DEFAULT_ORDERS, tuple(range(2, 65)),
-                                    (2, 3, 7, 100, 300), (2,)], ids=len)
-def test_curve_equals_full_grid_evaluation(orders):
+def test_curve_equals_full_grid_evaluation():
     # Live-block evaluation on the cached sigma-free grid gives the full
     # grid's values bit for bit.
     for q in (0.001, 0.005, 1 / 96, 0.1, 0.5, 0.9):
         for sigma in np.geomspace(0.01, 1000.0, 30).tolist():
-            got = accounting.rdp_subsampled_gaussian(q, sigma, orders)
-            assert got.values == reference_rdp(q, sigma, orders), (q, sigma)
+            assert accounting._rdp_values(q, sigma).tolist() == reference_rdp(q, sigma), (q, sigma)
 
 
 @pytest.mark.parametrize("target, q, steps, sigma, eps", [
     (1.0, 0.1, 600, 10.006853606268734, 0.9999865855833014),
     (4.0, 0.005, 20_000, 1.0618471646209724, 3.9993839705548817),
+    (8.0, 0.01, 1000, 0.6174200797512218, 7.997265989906057),
+    (0.5, 1.0, 1, 7.6678581875846055, 0.4999651897140075),
+    (2.0, 1e-4, 10_000, 0.5699396317118879, 1.998536464193257),
+    (2.0, 1 / 96, 96, 0.8316433780181554, 1.9998521417507331),
 ])
 def test_calibrated_sigma_and_epsilon_pinned(target, q, steps, sigma, eps):
-    # The benchmark's audit-mlp and long-logistic calibrations, exactly as
-    # the full-grid evaluation gave them.
+    # The first two are the benchmark's audit-mlp and long-logistic
+    # calibrations, exactly as the full-grid evaluation gave them.
     assert accounting.calibrate_noise(target, 1e-5, q, steps) == sigma
     assert accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, sigma, q, steps)) == eps
 
 
-def test_unsorted_orders_rejected_before_evaluation():
-    before = accounting._sigma_free_terms.cache_info()
-    for sigma in (0.0, 1.0):
-        with pytest.raises(ValueError, match="orders must be ascending"):
-            accounting.rdp_subsampled_gaussian(0.3, sigma, [2, 5, 3])
-    with pytest.raises(ValueError, match="orders must be ascending"):
-        accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, 1.0, 0.3, 10), [4, 2])
-    after = accounting._sigma_free_terms.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+@pytest.mark.parametrize("q, sigma, steps, delta, eps", [
+    (1.0, 1.0, 1, 1e-5, 4.752728336819823),
+    (1.0, 2.0, 100, 1e-5, 35.12663110385034),
+    (1e-4, 1.0, 10_000, 1e-5, 0.4532628807732155),
+    (1e-4, 0.5, 20_000, 1e-7, 4.666352270228805),
+    (0.1, 1e-153, 100, 1e-5, 1e308),
+    (0.5, 1e-153, 1, 1e-3, 1e306),
+    (0.01, 1.0, 1000, 1e-5, 2.1077530754515768),
+    (0.005, 0.8, 20_000, 1e-5, 7.225629486526807),
+    (1 / 96, 2.0, 96, 1e-5, 0.2634116148048695),
+    (0.1, 10.0, 600, 1e-7, 1.2491732163776503),
+    (0.9, 0.6, 10, 1e-3, 31.33682122393389),
+    (0.05, 5.0, 10**6, 1e-5, 112.14836219104882),
+    (0.3, 1.3, 1, 1e-5, 2.1992935405589433),
+])
+def test_epsilon_pinned(q, sigma, steps, delta, eps):
+    # Epsilon exactly as the full-grid evaluation gives it: q = 1, a tiny q,
+    # and a sigma at which the high orders overflow to +inf among them.
+    assert accounting.epsilon(accounting.PrivacySpec(math.inf, delta, sigma, q, steps)) == eps
 
 
 def test_compose():
-    curve = accounting.rdp_subsampled_gaussian(0.1, 1.0, [2, 4, 8])
-    same = accounting.compose(curve, 1)
-    assert same.values == curve.values
-    doubled = accounting.compose(curve, 2)
-    assert doubled.values == tuple(2 * v for v in curve.values)
-    assert accounting.compose(accounting.compose(curve, 2), 3).values == pytest.approx(
-        accounting.compose(curve, 6).values
-    )
+    # T steps compose additively: epsilon converts T times the one-step values.
+    values = accounting._rdp_values(0.1, 1.0)
+
+    def eps(steps):
+        return accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, 1.0, 0.1, steps))
+
+    assert eps(1) == accounting._to_epsilon(values, 1e-5)
+    assert eps(2) == accounting._to_epsilon(2 * values, 1e-5)
+    assert eps(6) == pytest.approx(accounting._to_epsilon(3 * (2 * values), 1e-5))
 
 
 def test_compose_scales_as_float_products():
     # One vector multiply gives each value's float product, bit for bit,
     # and overflows to +inf without a warning.
-    curve = accounting.rdp_subsampled_gaussian(0.1, 10.0)
+    values = accounting._rdp_values(0.1, 10.0).tolist()
     for steps in (1, 3, 600, 10**6, 2**53 + 1):
-        assert accounting.compose(curve, steps).values == tuple(v * steps for v in curve.values)
-    huge = accounting.RdpCurve((2.0, 3.0, 4.0), (1e300, math.inf, math.nan))
+        want = accounting._to_epsilon(np.array([v * steps for v in values]), 1e-5)
+        assert accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, 10.0, 0.1, steps)) == want
+    huge = accounting._rdp_values(0.5, 1e-150)  # order 2 near 1e300, finite
+    assert np.isfinite(huge[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = accounting.compose(huge, 10**9).values
-    assert values[:2] == (math.inf, math.inf) and math.isnan(values[2])
+        eps = accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, 1e-150, 0.5, 10**9))
+    assert eps == math.inf
 
 
-@pytest.mark.parametrize("orders, values, message", [
-    ((2.0, 3.0), (0.1,), "equal length"),
-    ((1.0, 2.0), (0.1, 0.2), "integers >= 2"),
-    ((0.5,), (0.1,), "integers >= 2"),
-    ((2.5, 3.0), (0.1, 0.2), "integers >= 2"),
-    ((2.0, math.inf), (0.1, 0.2), "integers >= 2"),
-    ((3.0, 2.0), (0.1, 0.2), "ascending"),
-    ((), (), "non-empty"),
-])
-def test_rdp_curve_rejects_invalid_orders(orders, values, message):
-    with pytest.raises(ValueError, match=message):
-        accounting.RdpCurve(orders, values)
+def curve(values):
+    """RDP values at the orders: a full sequence, or {order: value} with +inf elsewhere."""
+    if not isinstance(values, dict):
+        return np.array(values, dtype=np.float64)
+    full = np.full(len(ORDERS), math.inf)
+    for a, v in values.items():
+        full[a - ORDERS[0]] = v
+    return full
 
 
 def test_rdp_to_epsilon_single_order():
-    curve = accounting.RdpCurve(orders=(2.0,), values=(1.0,))
-    eps, order = accounting.rdp_to_epsilon(curve, math.exp(-1))
-    # 1 + log(1 - 1/2) + (log(e) - log 2) / (2 - 1) = 2 - 2 log 2.
+    # Only order 2 is finite: 1 + log(1 - 1/2) + (log(e) - log 2) / (2 - 1) = 2 - 2 log 2.
+    eps = accounting._to_epsilon(curve({2: 1.0}), math.exp(-1))
     assert eps == pytest.approx(2.0 - 2.0 * math.log(2.0), abs=1e-12)
-    assert order == 2.0
 
 
 def test_rdp_to_epsilon_zero_curve_largest_order_wins():
-    orders = tuple(float(a) for a in range(2, 65))
-    curve = accounting.RdpCurve(orders=orders, values=(0.0,) * len(orders))
-    eps, order = accounting.rdp_to_epsilon(curve, 1e-5)
-    assert order == 64.0
-    assert eps == pytest.approx(math.log(63 / 64) + (math.log(1e5) - math.log(64)) / 63)
+    eps = accounting._to_epsilon(curve([0.0] * len(ORDERS)), 1e-5)
+    assert eps == pytest.approx(math.log(511 / 512) + (math.log(1e5) - math.log(512)) / 511)
 
 
 def test_rdp_to_epsilon_clamped_at_zero():
     # log(1 - 1/2) + (log 2 - log 2) / 1 = -log 2 < 0: epsilon is never negative.
-    curve = accounting.RdpCurve(orders=(2.0,), values=(0.0,))
-    eps, order = accounting.rdp_to_epsilon(curve, 0.5)
-    assert eps == 0.0
-    assert order == 2.0
+    assert accounting._to_epsilon(curve([0.0] * len(ORDERS)), 0.5) == 0.0
 
 
-def loop_rdp_to_epsilon(curve, delta):
-    """Order-by-order conversion: the first order with the smallest value wins."""
+def loop_rdp_to_epsilon(values, delta):
+    """Order-by-order conversion, the smallest value clamped at 0."""
     log_inv_delta = math.log(1.0 / delta)
-    best_eps, best_order = math.inf, curve.orders[0]
-    for a, v in zip(curve.orders, curve.values):
+    best_eps = math.inf
+    for a, v in zip(ORDERS, values):
         eps = v + math.log1p(-1.0 / a) + (log_inv_delta - math.log(a)) / (a - 1)
         if eps < best_eps:
-            best_eps, best_order = eps, a
-    return max(best_eps, 0.0), best_order
+            best_eps = eps
+    return max(best_eps, 0.0)
 
 
 _INF = math.inf
 
 
-@pytest.mark.parametrize("orders, values, delta", [
-    ((2.0, 3.0, 4.0, 5.0), (5e20, 1e20, 1e20, 3e20), 1e-5),  # orders 3 and 4 tie
-    ((2.0, 3.0, 5.0, 9.0), (_INF, 0.4, _INF, 0.2), 1e-5),
-    ((2.0, 3.0, 4.0), (_INF, _INF, _INF), 1e-5),
-    ((2.0, 3.0), (math.nan, 0.5), 1e-5),
-    ((7.0,), (0.25,), 1e-3),
-    ((2.0, 3.0), (0.0, 0.0), 0.5),  # clamped at 0
-    ((2.0, 3.0), (-_INF, -_INF), 1e-5),
-    (tuple(float(a) for a in range(2, 65)), (0.0,) * 63, 1e-5),
-    (tuple(float(a) for a in range(2, 513)), tuple(np.linspace(9, 0, 511).tolist()), 1e-7),
+@pytest.mark.parametrize("values, delta", [
+    ({2: 5e20, 3: 1e20, 4: 1e20, 5: 3e20}, 1e-5),  # orders 3 and 4 tie
+    ({2: _INF, 3: 0.4, 5: _INF, 9: 0.2}, 1e-5),
+    ({}, 1e-5),
+    ({2: math.nan, 3: 0.5}, 1e-5),
+    ({7: 0.25}, 1e-3),
+    ({2: 0.0, 3: 0.0}, 0.5),  # clamped at 0
+    ({2: -_INF, 3: -_INF}, 1e-5),
+    ([0.0] * 511, 1e-5),
+    (np.linspace(9, 0, 511).tolist(), 1e-7),
 ], ids=["tie", "inf-entries", "all-inf", "nan-entry", "single-order", "clamp",
         "minus-inf-tie", "zero-curve", "default-orders"])
-def test_rdp_to_epsilon_matches_order_loop(orders, values, delta):
-    curve = accounting.RdpCurve(orders, values)
-    assert accounting.rdp_to_epsilon(curve, delta) == loop_rdp_to_epsilon(curve, delta)
-
-
-def test_rdp_to_epsilon_tie_first_order_wins():
-    # 1e20 absorbs each order's conversion terms, so orders 3 and 4 tie.
-    curve = accounting.RdpCurve((2.0, 3.0, 4.0, 5.0), (5e20, 1e20, 1e20, 3e20))
-    assert accounting.rdp_to_epsilon(curve, 1e-5) == (1e20, 3.0)
-
-
-def test_rdp_to_epsilon_empty_curve_rejected():
-    with pytest.raises(ValueError):
-        accounting.rdp_to_epsilon(accounting.RdpCurve((), ()), 1e-5)
+def test_rdp_to_epsilon_matches_order_loop(values, delta):
+    values = curve(values)
+    assert accounting._to_epsilon(values, delta) == loop_rdp_to_epsilon(values.tolist(), delta)
 
 
 def test_analytic_gaussian_large_sigma_tiny_epsilon():
@@ -391,8 +380,7 @@ def test_rdp_epsilon_vs_analytic_oracle_q1_t1():
     # The integer-order RDP conversion is looser than the exact analytic
     # Gaussian epsilon; the measured gap at sigma=1, delta=1e-5 is 8.6%
     # (frozen here). It never undercuts the exact value.
-    curve = accounting.rdp_subsampled_gaussian(1.0, 1.0)
-    eps_rdp, _ = accounting.rdp_to_epsilon(accounting.compose(curve, 1), 1e-5)
+    eps_rdp = accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, 1.0, 1.0, 1))
     eps_ana = accounting.analytic_gaussian_epsilon(1.0, 1e-5)
     assert eps_rdp >= eps_ana
     assert eps_rdp / eps_ana == pytest.approx(1.0858, abs=5e-3)
@@ -576,9 +564,9 @@ def test_calibrate_noise_epsilon_call_sequence(monkeypatch):
     sigmas = []
     real = accounting.epsilon
 
-    def recording(spec, orders):
+    def recording(spec):
         sigmas.append(spec.noise_multiplier)
-        return real(spec, orders)
+        return real(spec)
 
     monkeypatch.setattr(accounting, "epsilon", recording)
     sigma = accounting.calibrate_noise(2.0, 1e-5, 0.05, 200)

@@ -11,6 +11,7 @@ from dpcore import accounting, cli, training
 
 
 def _cfg_dict(**overrides):
+    """The base config with ``overrides`` applied; an override of None drops the field."""
     base = {
         "model": {"kind": "logistic", "input_dim": 6},
         "dataset": {"source": "synthetic", "n": 300, "d": 6,
@@ -24,7 +25,7 @@ def _cfg_dict(**overrides):
         "seed": 1,
     }
     base.update(overrides)
-    return base
+    return {name: value for name, value in base.items() if value is not None}
 
 
 def test_exactly_one_privacy_knob_required():
@@ -601,6 +602,13 @@ _EARLY_ERRORS = {
         "privacy": {"target_epsilon": 1.0, "delta": 1e-5},
         "batch": {"strategy": "poisson", "sampling_prob": 0.0},
     }),
+    "poisson-with-batch-size": ("train", {"batch": {"strategy": "poisson", "sampling_prob": 0.1,
+                                                    "batch_size": 64}}),
+    "shuffled-fixed-with-sampling-prob": ("train", {
+        "mechanism": "none", "privacy": None, "clip": None,
+        "batch": {"strategy": "shuffled-fixed", "batch_size": 30, "sampling_prob": 0.1},
+    }),
+    "none-with-clip": ("train", {"mechanism": "none", "privacy": None}),
 }
 # Malformed dataset files, each bad on line 3; _run_cli writes the one a
 # config names under tmp_path.
@@ -668,6 +676,11 @@ _ERROR_LINES = {
     "eval-every-0": "eval_every must be at least 1",
     "logistic-on-regression": "a logistic model trains on log loss, which needs labels in "
                               "[0, 1]; dataset.task is regression",
+    "poisson-with-batch-size": "bad configuration: poisson does not read batch.batch_size; "
+                               "remove it",
+    "shuffled-fixed-with-sampling-prob": "bad configuration: shuffled-fixed does not read "
+                                         "batch.sampling_prob; remove it",
+    "none-with-clip": "mechanism 'none' is the non-private baseline; remove the clip section",
 }
 
 

@@ -4,12 +4,19 @@
 checked. :class:`BatchPlan` binds it to a dataset size, a horizon and a key,
 and checks only what that binding adds.
 
-Step t takes a pool of candidate indices and yields it whole or
+Step t takes a pool of candidate units and yields it whole or
 Poisson-thinned, keeping each candidate independently with probability q.
-Poisson thins all n indices. Cyclic-poisson reshuffles the dataset each
-epoch, cuts it into ceil(1/q) shards and thins shard j at the epoch's step
-j. Shuffled-fixed reshuffles each epoch and takes consecutive slices of B
+Poisson thins all units. Cyclic-poisson reshuffles the units each epoch,
+cuts them into ceil(1/q) shards and thins shard j at the epoch's step j.
+Shuffled-fixed reshuffles each epoch and takes consecutive slices of B
 whole, dropping a final partial slice.
+
+The unit is the privacy unit. It is a row unless the plan carries group
+keys; then it is a group, and a batch holds every row of each group drawn
+(user-level sampling, McMahan et al. 2018, arXiv:1710.06963). So a group
+takes part in a Poisson step with probability q, the rate the accountant
+is charged, and a cyclic-poisson epoch puts each group in one shard. Only
+the Poisson family samples groups; shuffled-fixed batches count rows.
 
 A batch is a plain integer index array, a pure function of (plan, t), and
 is handed on unpadded: numpy has no compiler that would profit from a few
@@ -75,12 +82,15 @@ class BatchPlan:
       n: Dataset size.
       iterations: Number of batches to emit (T).
       key: PRNG key; the sole source of randomness.
+      group_keys: (n,) integer group key per row, to sample whole groups;
+        None samples rows.
     """
 
     batch: BatchConfig
     n: int
     iterations: int
     key: prng.PrngKey
+    group_keys: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -90,21 +100,28 @@ class BatchPlan:
         b = self.batch.batch_size
         if self.batch.strategy == SHUFFLED_FIXED and b > self.n:
             raise ValueError(f"shuffled-fixed batch_size {b} exceeds the dataset size {self.n}")
+        if self.group_keys is not None:
+            if self.batch.strategy == SHUFFLED_FIXED:
+                raise ValueError("shuffled-fixed batches count rows; they cannot sample groups")
+            if len(self.group_keys) != self.n:
+                raise ValueError("group_keys need one entry per row")
 
     @property
     def expected_batch_size(self) -> float:
         """The batch size a step's gradient sum is normalized by.
 
-        B for shuffled-fixed batches and q·n for the Poisson family.
+        B for shuffled-fixed batches and q·n for the Poisson family, whose
+        rows, sampled one by one or in whole groups, each take part in a step
+        with probability q.
         """
         if self.batch.strategy == SHUFFLED_FIXED:
             return float(self.batch.batch_size)
         return float(self.batch.sampling_prob) * self.n
 
 
-def _pools(plan: BatchPlan) -> Iterator[np.ndarray]:
-    """The candidate pool of each step t = 0, 1, ...; endless, read lazily."""
-    batch, n = plan.batch, plan.n
+def _pools(plan: BatchPlan, n: int) -> Iterator[np.ndarray]:
+    """The candidate pool of units 0..n-1 at each step t = 0, 1, ...; endless, read lazily."""
+    batch = plan.batch
     if batch.strategy == POISSON:
         yield from itertools.repeat(np.arange(n))
     for epoch in itertools.count():
@@ -115,15 +132,25 @@ def _pools(plan: BatchPlan) -> Iterator[np.ndarray]:
             yield from np.split(perm[: n - n % batch.batch_size], n // batch.batch_size)
 
 
-def batches(plan: BatchPlan) -> Iterator[np.ndarray]:
-    """The plan's T batches: each step's pool, whole or Poisson-thinned at rate q.
-
-    Poisson batches may be empty; that is a feature, not an error, and the
-    trainer must handle it (the step becomes pure noise).
-    """
+def _draws(plan: BatchPlan, n: int) -> Iterator[np.ndarray]:
+    """The units drawn at each of the T steps: the pool, whole or Poisson-thinned at rate q."""
     batch = plan.batch
-    for t, pool in zip(range(plan.iterations), _pools(plan)):
+    for t, pool in zip(range(plan.iterations), _pools(plan, n)):
         if batch.strategy != SHUFFLED_FIXED:
             u = prng.uniform(prng.fold_in(prng.fold_in(plan.key, 0), t), pool.size)
             pool = pool[u < batch.sampling_prob]
         yield pool.astype(np.int64, copy=False)
+
+
+def batches(plan: BatchPlan) -> Iterator[np.ndarray]:
+    """The plan's T batches of row indices.
+
+    Without group keys a batch is the rows drawn. With them, it is every
+    row of the groups drawn, in ascending row order. Poisson batches may be
+    empty; that is a feature, not an error, and the trainer must handle it
+    (the step becomes pure noise).
+    """
+    if plan.group_keys is None:
+        return _draws(plan, plan.n)
+    groups, group_of = np.unique(plan.group_keys, return_inverse=True)
+    return (np.flatnonzero(np.isin(group_of, drawn)) for drawn in _draws(plan, groups.size))

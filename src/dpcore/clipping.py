@@ -4,25 +4,26 @@ The central operation, :func:`clipped_grad_sum`, takes a batch as gathered
 arrays (features, labels, optional group keys) and sums the clipped
 per-unit gradients of its rows.
 
-Example-level clipping never materializes per-example gradients. Every
-layer's per-example gradient is an outer product ``[a, 1] ⊗ g`` of factors
-from :func:`models.layer_factors`, and the L2 norm of an outer product is
-the product of the factors' L2 norms (Goodfellow 2015, arXiv:1510.01799).
-So each row's norm and clip factor f come from the factors: the squared
-norm Σ (‖a‖²+1)·‖g‖² directly, from two row dot products per layer, and,
-for the rows whose direct value overflowed, or lost bits to underflow
-while the norm may exceed C, from the factors scaled by their largest
-entries. The clipped sum is one BLAS product per layer, ``aᵀ(f⊙g)`` with f
-applied to the narrower factor, and ``fᵀg`` for the bias (the book-keeping
-of Bu et al. 2022, arXiv:2210.00038). Memory is O(B·(d+h)) rather than
-O(B·P), and the result
-does not depend on the microbatch size. The non-private baseline,
-:func:`grad_sum`, is the same reduction with f = 1.
+Neither level materializes per-example gradients. Every layer's per-example
+gradient is an outer product ``[a, 1] ⊗ g`` of factors from
+:func:`models.layer_factors`, and the L2 norm of an outer product is the
+product of the factors' L2 norms (Goodfellow 2015, arXiv:1510.01799). So,
+at example level, each row's norm and clip factor f come from the factors:
+the squared norm Σ (‖a‖²+1)·‖g‖² directly, from two row dot products per
+layer, and, for the rows whose direct value overflowed, or lost bits to
+underflow while the norm may exceed C, from the factors scaled by their
+largest entries. The clipped sum is one BLAS product per layer, ``aᵀ(f⊙g)``
+with f applied to the narrower factor, and ``fᵀg`` for the bias (the
+book-keeping of Bu et al. 2022, arXiv:2210.00038). Memory is O(B·(d+h))
+rather than O(B·P), and the microbatch size plays no part. The
+non-private baseline, :func:`grad_sum`, is the same reduction with f = 1.
 
-Group-level clipping sums gradients within a group before clipping, so it
-materializes them (:func:`models.batch_grads`) one microbatch at a time and
-accumulates in batch order; the microbatch size bounds the live rows and
-never changes the result.
+Group-level clipping sums gradients within a group before clipping. The
+rows are sorted stably by group key, so each group is a contiguous slice
+of the factors, and the same reduction with f = 1 over that slice, one
+product ``A_gᵀG_g`` per layer and ``1ᵀG_g`` for the bias, gives the group's
+gradient, which is then scaled as :func:`clip` scales. The group is the
+privacy unit of user-level DP (McMahan et al. 2018, arXiv:1710.06963).
 
 Clipping bounds the L2 norm, the one norm in which the Gaussian noise and
 both accountants read a sensitivity. The returned sum carries that
@@ -43,7 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .models import GradientVector, Model, batch_grads, layer_factors
+from .models import GradientVector, Model, layer_factors
+from .models import batch_grads  # noqa: F401  # not called here; bench/tracing.py wraps this name
 
 FULL_BATCH = None  # microbatch_size sentinel: one microbatch spanning the batch
 # A sum of squares below this may have lost bits to underflow (see _factored_norms).
@@ -59,10 +61,9 @@ class ClipConfig:
         positive and finite.
       level: "example" clips each example's gradient; "group" sums gradients
         within each group key first and clips the group sums.
-      microbatch_size: At group level, the number of examples whose gradients
-        are materialized at once; None means the full batch. Example-level
-        clipping materializes no per-example gradients, so there it has no
-        effect.
+      microbatch_size: Accepted and checked, but without effect: neither
+        level materializes per-example gradients, so there is nothing to
+        split into microbatches. None means the full batch.
     """
 
     clip_norm: float
@@ -223,12 +224,6 @@ def grad_sum(
         return _weighted_sum(layer_factors(model, params, features, labels))
 
 
-def _microbatch_bounds(n: int, microbatch_size: Optional[int]):
-    m = n if microbatch_size is None else microbatch_size
-    m = max(m, 1)
-    return [(lo, min(lo + m, n)) for lo in range(0, n, m)] if n else []
-
-
 def clipped_grad_sum(
     model: Model,
     params: GradientVector,
@@ -242,9 +237,7 @@ def clipped_grad_sum(
 
     Any unit (example, or group sum at group level) whose gradient has a
     non-finite component is replaced by zero and counted in
-    dropped_nonfinite_count. The result is independent of
-    cfg.microbatch_size, which matters only at group level (see the module
-    docstring).
+    dropped_nonfinite_count. cfg.microbatch_size has no effect.
 
     Args:
       model: The model whose per-example gradients are aggregated.
@@ -264,9 +257,9 @@ def clipped_grad_sum(
     if cfg.level == "group" and group_keys is None:
         raise ValueError("group-level clipping requires group keys")
     layout = params.layout
+    if n == 0:
+        return ClippedGradientSum(GradientVector.zeros(layout), cfg.clip_norm, 0, 0)
     if cfg.level == "example":
-        if n == 0:
-            return ClippedGradientSum(GradientVector.zeros(layout), cfg.clip_norm, 0, 0)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             factors = layer_factors(model, params, features, labels)
             norms, finite = _factored_norms(factors, cfg.clip_norm)
@@ -278,38 +271,33 @@ def clipped_grad_sum(
             # Exactly 1.0 inside the ball, so in-ball rows enter unscaled.
             weights = np.minimum(1.0, cfg.clip_norm / norms)
             total = _weighted_sum(factors, weights)
-        return ClippedGradientSum(
-            sum=GradientVector(total, layout),
-            sensitivity=cfg.clip_norm,
-            contributing_count=kept,
-            dropped_nonfinite_count=finite.size - kept,
-        )
-
-    total = np.zeros(layout.total_length, dtype=np.float64)
-    contributing = 0
-    dropped = 0
-    # group_key -> accumulated in-group gradient; insertion order is the
-    # order of first occurrence in the batch, which fixes accumulation order.
-    group_sums: dict[int, np.ndarray] = {}
-    for lo, hi in _microbatch_bounds(n, cfg.microbatch_size):
-        rows = batch_grads(model, params, features[lo:hi], labels[lo:hi])
-        for key, row in zip(group_keys[lo:hi].tolist(), rows):
-            acc = group_sums.get(key)
-            if acc is None:
-                group_sums[key] = row.copy()
-            else:
-                acc += row
-
-    for group_sum in group_sums.values():
-        if not np.all(np.isfinite(group_sum)):
-            dropped += 1
-            continue
-        total += clip(GradientVector(group_sum, layout), cfg.clip_norm).values
-        contributing += 1
-
+        units = finite.size
+    else:
+        # Rows sorted stably by key make each group one contiguous slice of
+        # every layer's factors; factors are row-local, so the sort is exact.
+        order = np.argsort(group_keys, kind="stable")
+        keys = group_keys[order]
+        ends = [*np.flatnonzero(keys[1:] != keys[:-1]) + 1, n]
+        total = np.zeros(layout.total_length, dtype=np.float64)
+        kept = lo = 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            factors = layer_factors(model, params, features[order], labels[order])
+            for hi in ends:
+                group_sum = _weighted_sum([(a[lo:hi], g[lo:hi]) for a, g in factors])
+                lo = hi
+                # One norm serves the non-finite check and the clip: a finite
+                # norm means finite entries, and only an infinite or NaN one
+                # needs the entries checked.
+                norm = l2_norm(group_sum)
+                if math.isfinite(norm) or np.isfinite(group_sum).all():
+                    if norm > cfg.clip_norm:  # as in clip()
+                        group_sum *= cfg.clip_norm / norm
+                    total += group_sum
+                    kept += 1
+        units = len(ends)
     return ClippedGradientSum(
         sum=GradientVector(total, layout),
         sensitivity=cfg.clip_norm,
-        contributing_count=contributing,
-        dropped_nonfinite_count=dropped,
+        contributing_count=kept,
+        dropped_nonfinite_count=units - kept,
     )

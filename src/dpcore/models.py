@@ -16,8 +16,11 @@ is a batch of one row.
 
 One backprop, :func:`layer_factors`, returns each layer's per-example
 gradient in factored form, (inputs, output grads), since an affine layer's
-gradient is their outer product. :func:`batch_grads` materializes those
-outer products; example-level clipping works on the factors directly.
+gradient is their outer product. Clipping, at either level, works on the
+factors directly. :func:`batch_grads` materializes the outer products as
+B×P rows; nothing in the training path calls it, and it stays as the
+reference that the gradient checks and the clipping oracle of the tests
+compare against.
 
 Every per-example quantity (the forward pass, the backprop, the outer
 products) is row-local: a given example's factors, loss and gradient row are
@@ -132,6 +135,10 @@ class Dataset:
             raise ValueError("labels length must match features")
         if self.task not in ("regression", "binary-classification"):
             raise ValueError(f"unknown task {self.task!r}")
+        keys = self.group_keys
+        if keys is not None and not (isinstance(keys, np.ndarray) and keys.shape == (self.size,)
+                                     and keys.dtype.kind in "iu"):
+            raise ValueError("group_keys must be an integer array with one key per row")
 
     @property
     def size(self) -> int:

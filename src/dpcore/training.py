@@ -8,8 +8,8 @@ One training step is the fixed composition
 with the non-private baseline (mechanism "none") replacing the clipped sum
 and privatize stages by the unclipped gradient sum
 (:func:`clipping.grad_sum`, the same per-layer reduction with every clip
-factor 1). Neither sum materializes per-example gradients, except under
-group-level clipping. The step is written once, in :func:`train_step`,
+factor 1). Neither sum materializes per-example gradients, at either
+clipping level. The step is written once, in :func:`train_step`,
 which the training loop and the benchmark cells both call. Everything
 stochastic flows from the run seed through explicit PRNG keys, so a report
 is a pure function of its config (timing fields aside).
@@ -447,8 +447,13 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
     )
     root = prng.seed(cfg.seed)
     init_key, batch_key, noise_key = (prng.fold_in(root, i) for i in (1, 2, 3))
+    # The sampler draws the privacy unit, whose rate the accountant is charged.
+    group_level = cfg.clip is not None and cfg.clip.level == "group"
     with config_errors():
-        plan = batch_selection.BatchPlan(cfg.batch, dataset.size, cfg.steps, batch_key)
+        plan = batch_selection.BatchPlan(
+            cfg.batch, dataset.size, cfg.steps, batch_key,
+            group_keys=dataset.group_keys if group_level else None,
+        )
     denom = plan.expected_batch_size
 
     params = init_params(model, init_key)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dpcore import models, prng
+from dpcore import clipping, models, prng
 
 
 @pytest.fixture
@@ -51,6 +51,34 @@ def finite_difference_grad(model, params, features, labels, step=1e-5) -> np.nda
         ld = models.batch_losses(model, models.GradientVector(dn, params.layout), features, labels)
         grad[i] = (lu[0] - ld[0]) / (2.0 * step)
     return grad
+
+
+def materialized_clipped_sum(model, params, features, labels, clip_norm, group_keys):
+    """Oracle of ``clipping.clipped_grad_sum`` from materialized gradient rows.
+
+    Each row of ``models.batch_grads`` is added into its group's sum, groups
+    in order of first occurrence and rows in batch order; a group sum with a
+    non-finite entry is dropped and counted, and the others are clipped by
+    ``clipping.clip`` and summed. One key per row is example-level clipping.
+    """
+    layout = params.layout
+    group_sums = {}
+    with np.errstate(invalid="ignore", over="ignore"):
+        for key, row in zip(np.asarray(group_keys).tolist(),
+                            models.batch_grads(model, params, features, labels)):
+            if key in group_sums:
+                group_sums[key] += row
+            else:
+                group_sums[key] = row.copy()
+        total = np.zeros(layout.total_length)
+        kept = 0
+        for group_sum in group_sums.values():
+            if np.all(np.isfinite(group_sum)):
+                total += clipping.clip(models.GradientVector(group_sum, layout), clip_norm).values
+                kept += 1
+    return clipping.ClippedGradientSum(
+        models.GradientVector(total, layout), clip_norm, kept, len(group_sums) - kept
+    )
 
 
 def fresh_params(model, seed=0):

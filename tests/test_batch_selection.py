@@ -10,8 +10,9 @@ from dpcore import prng
 
 
 def _plan(strategy=bs.POISSON, sampling_prob=0.5, batch_size=None, n=10, iterations=5,
-          key=prng.seed(0)):
-    return bs.BatchPlan(bs.BatchConfig(strategy, sampling_prob, batch_size), n, iterations, key)
+          key=prng.seed(0), group_keys=None):
+    return bs.BatchPlan(bs.BatchConfig(strategy, sampling_prob, batch_size), n, iterations, key,
+                        group_keys=group_keys)
 
 
 def _digest(plan):
@@ -166,3 +167,61 @@ def test_truncated_poisson_is_not_a_strategy():
     # accounting does not cover.
     with pytest.raises(ValueError, match="unknown strategy"):
         _plan(strategy="truncated-poisson")
+
+
+def _assert_whole_groups(batch, keys):
+    drawn = np.unique(keys[batch])
+    assert np.array_equal(batch, np.flatnonzero(np.isin(keys, drawn)))
+    return drawn
+
+
+def test_group_poisson_samples_each_group_at_rate_q():
+    # The accountant is charged q per privacy unit. At group level each group
+    # must take part in a step with probability q, with all of its rows;
+    # drawing rows instead puts a 10-row group in 1 - 0.9^10 = 65% of steps.
+    # The batch still averages q·n rows, the trainer's denominator.
+    n, groups, q, t_steps = 200, 20, 0.1, 2000
+    keys = np.arange(n) % groups
+    plan = _plan(n=n, sampling_prob=q, iterations=t_steps, group_keys=keys)
+    counts = np.zeros(groups)
+    rows = 0
+    for batch in bs.batches(plan):
+        counts[_assert_whole_groups(batch, keys)] += 1
+        rows += batch.size
+    se = math.sqrt(q * (1 - q) / t_steps)
+    assert np.all(np.abs(counts / t_steps - q) <= 5 * se)
+    rows_se = math.sqrt(np.sum(np.bincount(keys) ** 2) * q * (1 - q) / t_steps)
+    assert abs(rows / t_steps - plan.expected_batch_size) <= 5 * rows_se
+
+
+def test_cyclic_group_takes_part_once_per_epoch():
+    # Banded-mf's single participation holds for the privacy unit: a cyclic
+    # epoch puts each group, whole, in one shard.
+    rng = np.random.default_rng(3)
+    keys = rng.integers(0, 12, 90)
+    q = 0.5
+    k = bs.cyclic_epoch_length(q)
+    plan = _plan(bs.CYCLIC_POISSON, sampling_prob=q, n=90, iterations=20 * k, group_keys=keys)
+    drawn = [_assert_whole_groups(batch, keys) for batch in bs.batches(plan)]
+    for epoch in range(20):
+        seen = np.concatenate(drawn[epoch * k : (epoch + 1) * k])
+        assert np.unique(seen).size == seen.size
+
+
+def test_group_sampling_needs_the_poisson_family_and_a_key_per_row():
+    with pytest.raises(ValueError, match="cannot sample groups"):
+        _plan(strategy=bs.SHUFFLED_FIXED, batch_size=2, sampling_prob=None,
+              group_keys=np.zeros(10, dtype=np.int64))
+    with pytest.raises(ValueError, match="one entry per row"):
+        _plan(group_keys=np.zeros(9, dtype=np.int64))
+
+
+@pytest.mark.parametrize("strategy,digest", [
+    (bs.POISSON, "02bfa5ad0f6c20dd"),
+    (bs.CYCLIC_POISSON, "01b1ddeecf7b3a5f"),
+])
+def test_group_streams_are_pinned(strategy, digest):
+    # The group-level streams, as test_streams_are_pinned pins the row-level ones.
+    keys = np.arange(50) % 7
+    plan = _plan(strategy, 0.3, n=50, iterations=20, key=prng.seed(7), group_keys=keys)
+    assert _digest(plan) == digest

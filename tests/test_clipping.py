@@ -1,11 +1,11 @@
-import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dpcore import clipping, models, prng
 
-from conftest import random_batch, random_model
+from conftest import materialized_clipped_sum, random_batch, random_model
 
 
 def _vec(values):
@@ -195,29 +195,47 @@ def test_sensitivity_oracle_add_remove(rng):
 
 
 def test_peak_live_gradients_bounded_by_microbatch(rng, monkeypatch):
-    # Example level clips from the layer factors and never materializes
-    # per-example gradients; group level materializes at most one microbatch
-    # of rows at a time, and every row once.
+    # Both levels clip from the layer factors and never materialize
+    # per-example gradients, whatever the microbatch size.
     m = models.Model(kind="logistic", input_dim=5)
     p = models.init_params(m, prng.seed(0))
     features, labels = random_batch(rng, 5, 23)
     keys = np.arange(23) % 4
     live = []
+    reference = models.batch_grads
 
     def spy(model, params, features, labels):
         live.append(features.shape[0])
-        return models.batch_grads(model, params, features, labels)
+        return reference(model, params, features, labels)
 
     monkeypatch.setattr(clipping, "batch_grads", spy)
+    monkeypatch.setattr(models, "batch_grads", spy)
     for size in (1, 4, 7, None):
-        live.clear()
-        cfg = clipping.ClipConfig(clip_norm=1.0, microbatch_size=size)
-        clipping.clipped_grad_sum(m, p, features, labels, cfg)
-        assert live == []
-        cfg = clipping.ClipConfig(clip_norm=1.0, level="group", microbatch_size=size)
-        clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
-        assert sum(live) == 23
-        assert max(live) <= (size if size is not None else 23)
+        for level in ("example", "group"):
+            cfg = clipping.ClipConfig(clip_norm=1.0, level=level, microbatch_size=size)
+            clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
+            assert live == []
+
+
+def test_group_level_peak_memory_is_a_few_factors():
+    # MLP 20→128, B=2000 in 200 groups: materialized rows would take
+    # B·P·8 bytes = 43 MiB, the layer factors 4.2 MiB.
+    m = models.Model(kind="mlp", input_dim=20, hidden_dim=128)
+    p = models.init_params(m, prng.seed(0))
+    rng = np.random.default_rng(4)
+    features = rng.standard_normal((2000, 20))
+    labels = rng.integers(0, 2, 2000).astype(np.float64)
+    keys = rng.integers(0, 200, 2000)
+    factor_bytes = sum(a.nbytes + g.nbytes for a, g in models.layer_factors(m, p, features, labels))
+    cfg = clipping.ClipConfig(clip_norm=1.0, level="group")
+    tracemalloc.start()
+    try:
+        res = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.contributing_count == 200
+    assert peak < 4 * factor_bytes
 
 
 _FUZZ_MODELS = (
@@ -236,11 +254,12 @@ _EXTREMES = (np.nan, np.inf, -np.inf, 1e160, -1e160, 1e300, -1e300, 1.5e308)
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model", _FUZZ_MODELS, ids=lambda m: f"{m.kind}-{m.activation}-{m.loss}-l2")
 def test_factored_clipping_matches_materialized_oracle(model):
-    # The oracle clips materialized rows: group level with one key per row.
-    # Rows hold NaN, inf or huge features, where a naive factored norm
-    # evaluates inf*0 = NaN or overflows while the gradient itself is finite.
+    # The oracle clips materialized rows (conftest): one key per row for the
+    # example level, random keys for the group level. Rows hold NaN, inf or
+    # huge features, where a naive factored norm evaluates inf*0 = NaN or
+    # overflows while the gradient itself is finite.
     rng = np.random.default_rng(0)
-    outcomes = set()
+    outcomes = {"example": set(), "group": set()}
     for trial in range(40):
         size = trial % 9
         p = models.init_params(model, prng.seed(trial))
@@ -249,19 +268,19 @@ def test_factored_clipping_matches_materialized_oracle(model):
             if rng.random() < 0.5:
                 features[i, rng.integers(model.input_dim)] = rng.choice(_EXTREMES)
         clip_norm = float(rng.choice([0.05, 0.7, 5.0]))
-        cfg = clipping.ClipConfig(clip_norm=clip_norm)
-        got = clipping.clipped_grad_sum(model, p, features, labels, cfg)
-        want = clipping.clipped_grad_sum(
-            model, p, features, labels, dataclasses.replace(cfg, level="group"),
-            group_keys=np.arange(size),
-        )
-        assert got.contributing_count == want.contributing_count
-        assert got.dropped_nonfinite_count == want.dropped_nonfinite_count
-        assert np.all(np.isfinite(got.sum.values))
-        scale = max(np.max(np.abs(want.sum.values), initial=0.0), clip_norm)
-        assert np.max(np.abs(got.sum.values - want.sum.values), initial=0.0) <= 1e-12 * scale
-        outcomes.add((got.dropped_nonfinite_count > 0, got.contributing_count > 0))
-    assert outcomes >= {(True, True), (False, True)}
+        group_keys = rng.integers(0, 4, size)
+        for level, keys in (("example", np.arange(size)), ("group", group_keys)):
+            cfg = clipping.ClipConfig(clip_norm=clip_norm, level=level)
+            got = clipping.clipped_grad_sum(model, p, features, labels, cfg, group_keys=keys)
+            want = materialized_clipped_sum(model, p, features, labels, clip_norm, keys)
+            assert got.contributing_count == want.contributing_count
+            assert got.dropped_nonfinite_count == want.dropped_nonfinite_count
+            assert np.all(np.isfinite(got.sum.values))
+            scale = max(np.max(np.abs(want.sum.values), initial=0.0), clip_norm)
+            assert np.max(np.abs(got.sum.values - want.sum.values), initial=0.0) <= 1e-12 * scale
+            outcomes[level].add((got.dropped_nonfinite_count > 0, got.contributing_count > 0))
+    for seen in outcomes.values():
+        assert seen >= {(True, True), (False, True)}
 
 
 def test_l2_norm_of_finite_vector_with_overflowing_squares():
@@ -390,8 +409,7 @@ def test_fallback_rows_clip_into_the_ball(x, y, clip_norm, dropped):
     assert (res.contributing_count, res.dropped_nonfinite_count) == (1 - dropped, dropped)
     assert _scaled_l2(res.sum.values) <= clip_norm * (1 + 1e-15)
     batch = clipping.clipped_grad_sum(m, p, features, labels, cfg)
-    oracle = clipping.clipped_grad_sum(m, p, features, labels, dataclasses.replace(cfg, level="group"),
-                                       group_keys=np.arange(3))
+    oracle = materialized_clipped_sum(m, p, features, labels, clip_norm, np.arange(3))
     assert batch.dropped_nonfinite_count == oracle.dropped_nonfinite_count == dropped
     np.testing.assert_allclose(batch.sum.values, oracle.sum.values, rtol=1e-12, atol=0)
 

@@ -194,6 +194,20 @@ def test_batch_losses_keep_their_temporaries_under_the_mmap_threshold(monkeypatc
     assert max(blocks) * model.hidden_dim * 8 < 128 * 1024
 
 
+@pytest.mark.parametrize("keys", [
+    np.zeros(3, dtype=np.int64),  # one key short
+    np.zeros((4, 1), dtype=np.int64),  # not one key per row
+    np.zeros(4),  # float keys
+    [0, 1, 2, 3],  # not an array
+], ids=["short", "column", "float", "list"])
+def test_dataset_refuses_group_keys_other_than_one_integer_per_row(keys):
+    features, labels = np.zeros((4, 2)), np.zeros(4)
+    with pytest.raises(ValueError, match="one key per row"):
+        models.Dataset(features, labels, "regression", keys)
+    ok = models.Dataset(features, labels, "regression", np.array([3, 1, 3, 0]))
+    assert ok.group_keys.dtype.kind == "i"
+
+
 def test_gradient_vector_arithmetic_layout_checked():
     a = models.GradientVector(np.ones(3), models.Layout((("x", 0, 3),)))
     b = models.GradientVector(np.ones(3), models.Layout((("y", 0, 3),)))

@@ -236,6 +236,37 @@ def test_group_level_clipping_in_trainer():
     assert out.report["contributing_total"] > 0
 
 
+@pytest.mark.parametrize("mechanism,strategy", [
+    ("dpsgd", "poisson"), ("dpsgd", "cyclic-poisson"), ("banded-mf", "cyclic-poisson"),
+])
+def test_group_level_run_samples_whole_groups(mechanism, strategy, monkeypatch):
+    # The privacy unit is the group: every batch of a group-level run holds
+    # all rows of each group it touches, and an example-level run samples rows.
+    batches = []
+    sampler = training.batch_selection.batches
+
+    def spy(plan):
+        for batch in sampler(plan):
+            batches.append(batch)
+            yield batch
+
+    monkeypatch.setattr(training.batch_selection, "batches", spy)
+    dataset = {"source": "synthetic", "n": 120, "d": 6,
+               "task": "binary-classification", "seed": 4, "num_groups": 30}
+    cfg = training.config_from_dict(_cfg_dict(
+        dataset=dataset, mechanism=mechanism, clip={"clip_norm": 1.0, "level": "group"},
+        batch={"strategy": strategy, "sampling_prob": 0.25}, steps=4,
+    ))
+    keys = training.build_dataset(cfg).group_keys
+    training.train(cfg)
+    assert len(batches) == 4 and sum(b.size for b in batches) > 0
+    for batch in batches:
+        assert np.array_equal(batch, np.flatnonzero(np.isin(keys, keys[batch])))
+    batches.clear()
+    training.train(training.config_from_dict(_cfg_dict(dataset=dataset, steps=40)))
+    assert any(np.isin(keys, keys[b]).sum() != b.size for b in batches)
+
+
 def test_csv_round_trip(tmp_path):
     from dpcore import prng
 

@@ -15,15 +15,16 @@ underflow while the norm may exceed C, from the factors scaled by their
 largest entries. The clipped sum is one BLAS product per layer, ``aᵀ(f⊙g)``
 with f applied to the narrower factor, and ``fᵀg`` for the bias (the
 book-keeping of Bu et al. 2022, arXiv:2210.00038). Memory is O(B·(d+h))
-rather than O(B·P), and the microbatch size plays no part. The
+rather than O(B·P), so the batch needs no split into microbatches. The
 non-private baseline, :func:`grad_sum`, is the same reduction with f = 1.
 
 Group-level clipping sums gradients within a group before clipping. The
 rows are sorted stably by group key, so each group is a contiguous slice
 of the factors, and the same reduction with f = 1 over that slice, one
 product ``A_gᵀG_g`` per layer and ``1ᵀG_g`` for the bias, gives the group's
-gradient, which is then scaled as :func:`clip` scales. The group is the
-privacy unit of user-level DP (McMahan et al. 2018, arXiv:1710.06963).
+gradient, which is scaled onto the sphere of radius C when its norm
+exceeds C. The group is the privacy unit of user-level DP (McMahan et al.
+2018, arXiv:1710.06963).
 
 Clipping bounds the L2 norm, the one norm in which the Gaussian noise and
 both accountants read a sensitivity. The returned sum carries that
@@ -47,7 +48,6 @@ import numpy as np
 from .models import GradientVector, Model, layer_factors
 from .models import batch_grads  # noqa: F401  # not called here; bench/tracing.py wraps this name
 
-FULL_BATCH = None  # microbatch_size sentinel: one microbatch spanning the batch
 # A sum of squares below this may have lost bits to underflow (see _factored_norms).
 _DIRECT_FLOOR = 2.0**-900
 
@@ -61,22 +61,16 @@ class ClipConfig:
         positive and finite.
       level: "example" clips each example's gradient; "group" sums gradients
         within each group key first and clips the group sums.
-      microbatch_size: Accepted and checked, but without effect: neither
-        level materializes per-example gradients, so there is nothing to
-        split into microbatches. None means the full batch.
     """
 
     clip_norm: float
     level: str = "example"
-    microbatch_size: Optional[int] = FULL_BATCH
 
     def __post_init__(self):
         if not (self.clip_norm > 0.0) or not math.isfinite(self.clip_norm):
             raise ValueError(f"clip_norm must be positive and finite, got {self.clip_norm}")
         if self.level not in ("example", "group"):
             raise ValueError(f"unknown clipping level {self.level!r}")
-        if self.microbatch_size is not None and self.microbatch_size < 1:
-            raise ValueError("microbatch_size must be at least 1 (or None for full)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,20 +99,6 @@ def l2_norm(values: np.ndarray) -> float:
             scaled = values / peak
             return peak * math.sqrt(np.einsum("i,i->", scaled, scaled, optimize=False))
     return math.sqrt(squares)
-
-
-def clip(g: GradientVector, clip_norm: float) -> GradientVector:
-    """Scales ``g`` to L2 norm at most ``clip_norm``: g * min(1, C/||g||₂).
-
-    Inside the ball the vector is returned unchanged (exactly); outside, it
-    is scaled onto the sphere, preserving direction.
-    """
-    if not (clip_norm > 0.0):
-        raise ValueError(f"clip_norm must be positive, got {clip_norm}")
-    norm = l2_norm(g.values)
-    if norm <= clip_norm:
-        return g
-    return GradientVector(g.values * (clip_norm / norm), g.layout)
 
 
 def _factored_norms(factors, radius: float):
@@ -237,7 +217,7 @@ def clipped_grad_sum(
 
     Any unit (example, or group sum at group level) whose gradient has a
     non-finite component is replaced by zero and counted in
-    dropped_nonfinite_count. cfg.microbatch_size has no effect.
+    dropped_nonfinite_count.
 
     Args:
       model: The model whose per-example gradients are aggregated.
@@ -290,7 +270,7 @@ def clipped_grad_sum(
                 # needs the entries checked.
                 norm = l2_norm(group_sum)
                 if math.isfinite(norm) or np.isfinite(group_sum).all():
-                    if norm > cfg.clip_norm:  # as in clip()
+                    if norm > cfg.clip_norm:
                         group_sum *= cfg.clip_norm / norm
                     total += group_sum
                     kept += 1

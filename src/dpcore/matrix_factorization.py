@@ -64,10 +64,6 @@ class Strategy:
         if self.coefficients[0] != 1.0:
             raise ValueError("strategies are normalized to c_0 = 1")
 
-    @property
-    def bands(self) -> int:
-        return len(self.coefficients)
-
     @functools.cached_property
     def sensitivity(self) -> float:
         """Maximum column L2 norm of the strategy matrix C, over any n >= bands.

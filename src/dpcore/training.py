@@ -533,7 +533,9 @@ def train_step(model, dataset, batch_idx, params, opt_state, priv_state, *,
         csum = None
         grad = GradientVector(grad_sum(model, params, features, labels), params.layout)
     else:
-        group_keys = None if dataset.group_keys is None else dataset.group_keys[batch_idx]
+        group_keys = None  # read only by group-level clipping
+        if dataset.group_keys is not None and clip.level == "group":
+            group_keys = dataset.group_keys[batch_idx]
         csum = clipped_grad_sum(model, params, features, labels, clip, group_keys=group_keys)
         grad, priv_state = privatize(priv, csum, priv_state)
     grad = GradientVector(grad.values / denom, params.layout)

@@ -58,8 +58,9 @@ def materialized_clipped_sum(model, params, features, labels, clip_norm, group_k
 
     Each row of ``models.batch_grads`` is added into its group's sum, groups
     in order of first occurrence and rows in batch order; a group sum with a
-    non-finite entry is dropped and counted, and the others are clipped by
-    ``clipping.clip`` and summed. One key per row is example-level clipping.
+    non-finite entry is dropped and counted, and the others are scaled by
+    C/‖v‖₂ when their norm exceeds C and summed. One key per row is
+    example-level clipping.
     """
     layout = params.layout
     group_sums = {}
@@ -74,7 +75,8 @@ def materialized_clipped_sum(model, params, features, labels, clip_norm, group_k
         kept = 0
         for group_sum in group_sums.values():
             if np.all(np.isfinite(group_sum)):
-                total += clipping.clip(models.GradientVector(group_sum, layout), clip_norm).values
+                norm = clipping.l2_norm(group_sum)
+                total += group_sum * (clip_norm / norm) if norm > clip_norm else group_sum
                 kept += 1
     return clipping.ClippedGradientSum(
         models.GradientVector(total, layout), clip_norm, kept, len(group_sums) - kept

@@ -35,24 +35,33 @@ def _report(criterion: int, ok: bool, detail: str, elapsed: float, budget: float
 
 
 def test_criterion_01_microbatch_invariance():
+    # The vectorized full-batch sum equals a loop over microbatches of m
+    # consecutive rows, each clipped and summed on its own.
     started = time.perf_counter()
     rng = np.random.default_rng(101)
+    cfg = clipping.ClipConfig(clip_norm=0.5)
     worst = 0.0
+    counts_add_up = True
     for trial in range(50):
         model = random_model(rng)
         params = models.init_params(model, prng.seed(trial))
         features, labels = random_batch(rng, model.input_dim, int(rng.integers(0, 21)))
-        sums = [
-            clipping.clipped_grad_sum(
-                model, params, features, labels,
-                clipping.ClipConfig(clip_norm=0.5, microbatch_size=m),
-            ).sum.values
-            for m in (1, 4, None)
-        ]
-        worst = max(worst, float(np.max(np.abs(sums[0] - sums[1]), initial=0.0)))
-        worst = max(worst, float(np.max(np.abs(sums[0] - sums[2]), initial=0.0)))
-    _report(1, worst <= 1e-12,
-            f"50 instances, max coordinate deviation across m in {{1,4,full}}: {worst:.2e}",
+        full = clipping.clipped_grad_sum(model, params, features, labels, cfg)
+        for m in (1, 4):
+            total = np.zeros_like(full.sum.values)
+            counts = np.zeros(2, dtype=int)
+            for lo in range(0, len(labels), m):
+                part = clipping.clipped_grad_sum(
+                    model, params, features[lo : lo + m], labels[lo : lo + m], cfg
+                )
+                total += part.sum.values
+                counts += (part.contributing_count, part.dropped_nonfinite_count)
+            worst = max(worst, float(np.max(np.abs(total - full.sum.values), initial=0.0)))
+            counts_add_up &= tuple(counts) == (full.contributing_count,
+                                               full.dropped_nonfinite_count)
+    _report(1, worst <= 1e-12 and counts_add_up,
+            f"50 instances, max coordinate deviation of the m-row loop, m in {{1,4}}: "
+            f"{worst:.2e}; counts add up: {counts_add_up}",
             time.perf_counter() - started, 10.0)
 
 

@@ -8,27 +8,46 @@ from dpcore import clipping, models, prng
 from conftest import materialized_clipped_sum, random_batch, random_model
 
 
-def _vec(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return models.GradientVector(arr, models.Layout((("g", 0, arr.size),)))
+def _linear_at_zero():
+    """A linear model at zero parameters, whose gradient for row (x, y) is -y·[x, 1]."""
+    m = models.Model(kind="linear", input_dim=2)
+    return m, models.GradientVector.zeros(m.layout())
 
 
 def test_clip_scales_to_boundary():
-    g = _vec([3.0, 4.0])  # l2 norm 5
-    out = clipping.clip(g, 2.5)
-    np.testing.assert_allclose(out.values, [1.5, 2.0], rtol=1e-15)
-    assert clipping.l2_norm(out.values) == pytest.approx(2.5, rel=1e-12)
+    m, p = _linear_at_zero()
+    for k in (1, 3):
+        # k rows of gradient [3, 4, 1] in one group: its sum has L2 norm k·√26.
+        features, labels = np.tile([3.0, 4.0], (k, 1)), np.full(k, -1.0)
+        cfg = clipping.ClipConfig(clip_norm=2.5, level="group")
+        out = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=np.zeros(k, int))
+        assert out.contributing_count == 1
+        want = np.array([3.0, 4.0, 1.0]) * (2.5 / np.sqrt(26.0))
+        np.testing.assert_allclose(out.sum.values, want, rtol=1e-15)
+        assert clipping.l2_norm(out.sum.values) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_clip_zero_vector():
-    g = _vec([0.0, 0.0, 0.0])
-    assert np.array_equal(clipping.clip(g, 1.0).values, np.zeros(3))
+    m, p = _linear_at_zero()
+    features, labels = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, 0.0]]), np.zeros(3)
+    for level in ("example", "group"):
+        cfg = clipping.ClipConfig(clip_norm=1.0, level=level)
+        out = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=np.full(3, 7))
+        assert np.array_equal(out.sum.values, np.zeros(3))
+        units = 3 if level == "example" else 1
+        assert (out.contributing_count, out.dropped_nonfinite_count) == (units, 0)
 
 
-def test_clip_inside_ball_is_exact_identity():
-    g = _vec([0.3, 0.4])  # norm 0.5
-    out = clipping.clip(g, 1.0)
-    assert out.values is g.values  # returned unchanged, bit for bit
+def test_clip_inside_ball_is_exact_identity(rng):
+    # One key for every row: the stable sort keeps the rows in batch order,
+    # so the group's sum is grad_sum's reduction over the same factors.
+    m = models.Model(kind="mlp", input_dim=6, hidden_dim=5)
+    p = models.init_params(m, prng.seed(3))
+    features, labels = random_batch(rng, 6, 17)
+    cfg = clipping.ClipConfig(clip_norm=1e6, level="group")
+    out = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=np.full(17, 2))
+    assert out.contributing_count == 1
+    assert np.array_equal(out.sum.values, clipping.grad_sum(m, p, features, labels))
 
 
 def test_empty_batch():
@@ -66,21 +85,6 @@ def test_inf_feature_also_dropped():
     assert np.array_equal(with_bad.sum.values, without.sum.values)
     assert with_bad.dropped_nonfinite_count == 1
     assert with_bad.contributing_count == 1
-
-
-def test_microbatch_bitwise_invariance(rng):
-    m = models.Model(kind="mlp", input_dim=6, hidden_dim=5)
-    p = models.init_params(m, prng.seed(3))
-    features, labels = random_batch(rng, 6, 17)
-    results = [
-        clipping.clipped_grad_sum(
-            m, p, features, labels, clipping.ClipConfig(clip_norm=0.5, microbatch_size=s)
-        )
-        for s in (1, 2, 4, 16, None)
-    ]
-    for res in results[1:]:
-        assert np.array_equal(results[0].sum.values, res.sum.values)
-        assert res.contributing_count == 17
 
 
 def test_group_level_two_members_clipped_once():
@@ -131,22 +135,29 @@ def test_group_level_missing_key_rejected(rng):
 
 
 def test_group_level_microbatch_invariance(rng):
+    # Whole groups clip independently, so calls over consecutive slices of
+    # 1 or 2 groups add up to the full-batch call.
     m = models.Model(kind="linear", input_dim=4)
     p = models.init_params(m, prng.seed(2))
     keys = rng.integers(0, 4, size=13)
     rows = [(rng.standard_normal(4), float(rng.standard_normal())) for _ in keys]
     features = np.stack([x for x, _ in rows])
     labels = np.array([y for _, y in rows])
-    results = [
-        clipping.clipped_grad_sum(
-            m, p, features, labels,
-            clipping.ClipConfig(clip_norm=0.7, level="group", microbatch_size=s),
-            group_keys=keys,
-        )
-        for s in (1, 3, None)
-    ]
-    for res in results[1:]:
-        assert np.array_equal(results[0].sum.values, res.sum.values)
+    cfg = clipping.ClipConfig(clip_norm=0.7, level="group")
+    full = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
+    groups = np.unique(keys)
+    for per_call in (1, 2):
+        total = np.zeros_like(full.sum.values)
+        counts = np.zeros(2, dtype=int)
+        for lo in range(0, len(groups), per_call):
+            member = np.isin(keys, groups[lo : lo + per_call])
+            part = clipping.clipped_grad_sum(
+                m, p, features[member], labels[member], cfg, group_keys=keys[member]
+            )
+            total += part.sum.values
+            counts += (part.contributing_count, part.dropped_nonfinite_count)
+        assert np.max(np.abs(total - full.sum.values)) <= 1e-12
+        assert tuple(counts) == (full.contributing_count, full.dropped_nonfinite_count)
 
 
 def test_per_unit_norm_bound(rng):
@@ -156,7 +167,7 @@ def test_per_unit_norm_bound(rng):
         m = random_model(rng)
         p = models.init_params(m, prng.seed(9))
         features, labels = random_batch(rng, m.input_dim, 12)
-        cfg = clipping.ClipConfig(clip_norm=0.25, microbatch_size=5)
+        cfg = clipping.ClipConfig(clip_norm=0.25)
         res = clipping.clipped_grad_sum(m, p, features, labels, cfg)
         assert res.contributing_count == 12
         units = []
@@ -194,9 +205,9 @@ def test_sensitivity_oracle_add_remove(rng):
                 assert delta <= cfg.clip_norm + 1e-12
 
 
-def test_peak_live_gradients_bounded_by_microbatch(rng, monkeypatch):
+def test_clipping_never_materializes_gradient_rows(rng, monkeypatch):
     # Both levels clip from the layer factors and never materialize
-    # per-example gradients, whatever the microbatch size.
+    # per-example gradients.
     m = models.Model(kind="logistic", input_dim=5)
     p = models.init_params(m, prng.seed(0))
     features, labels = random_batch(rng, 5, 23)
@@ -210,11 +221,10 @@ def test_peak_live_gradients_bounded_by_microbatch(rng, monkeypatch):
 
     monkeypatch.setattr(clipping, "batch_grads", spy)
     monkeypatch.setattr(models, "batch_grads", spy)
-    for size in (1, 4, 7, None):
-        for level in ("example", "group"):
-            cfg = clipping.ClipConfig(clip_norm=1.0, level=level, microbatch_size=size)
-            clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
-            assert live == []
+    for level in ("example", "group"):
+        cfg = clipping.ClipConfig(clip_norm=1.0, level=level)
+        clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
+        assert live == []
 
 
 def test_group_level_peak_memory_is_a_few_factors():
@@ -290,8 +300,13 @@ def test_l2_norm_of_finite_vector_with_overflowing_squares():
     # Squares that underflow are rescaled too, so a tiny gradient is clipped.
     assert clipping.l2_norm(np.array([3e-200, -4e-200])) == pytest.approx(5e-200, rel=1e-15)
     assert clipping.l2_norm(np.zeros(2)) == 0.0
-    clipped = clipping.clip(_vec(values), 1.0)
-    np.testing.assert_allclose(clipped.values, [0.6, -0.8], rtol=1e-15)
+    # The row's gradient is [3e200, -4e200, 1]; both levels clip it onto the unit sphere.
+    m, p = _linear_at_zero()
+    for level in ("example", "group"):
+        cfg = clipping.ClipConfig(clip_norm=1.0, level=level)
+        clipped = clipping.clipped_grad_sum(m, p, values[np.newaxis], np.array([-1.0]), cfg,
+                                            group_keys=np.zeros(1, int))
+        np.testing.assert_allclose(clipped.sum.values[:2], [0.6, -0.8], rtol=1e-15)
 
 
 def test_grad_sum_is_the_unclipped_row_sum(rng):
@@ -313,7 +328,7 @@ def test_clip_config_validation():
     with pytest.raises(ValueError):
         clipping.ClipConfig(clip_norm=float("inf"))
     with pytest.raises(ValueError):
-        clipping.ClipConfig(clip_norm=1.0, microbatch_size=0)
+        clipping.ClipConfig(clip_norm=1.0, level="user")
 
 
 @pytest.fixture

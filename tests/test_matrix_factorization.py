@@ -93,8 +93,8 @@ def test_expected_error_unstable_strategy_is_infinite(coefficients):
 
 def solve_banded_error(n, s):
     """The closed-form error through scipy.linalg.solve_banded and its checks."""
-    u = s.bands - 1
-    ab = np.zeros((s.bands, n))
+    u = len(s.coefficients) - 1
+    ab = np.zeros((len(s.coefficients), n))
     for k, c in enumerate(s.coefficients):
         ab[u - k, k:] = c
     last = np.zeros(n)
@@ -232,7 +232,7 @@ def test_optimize_never_worse_than_identity(rng):
 def test_optimize_long_horizon_beats_identity(n, bands):
     w = mf.prefix_workload(n)
     s = mf.optimize_banded(w, bands)
-    assert s.bands == bands
+    assert len(s.coefficients) == bands
     assert s.coefficients[0] == 1.0
     assert np.all(np.isfinite(s.coefficients))
     assert _dense_error(n, s) < n * (n + 1) / 2
@@ -242,7 +242,7 @@ def test_optimize_horizon_beyond_dense_memory():
     # A dense 10^4 x 10^4 workload would take 800 MB.
     n = 10_000
     s = mf.optimize_banded(mf.prefix_workload(n), 16)
-    assert s.bands == 16
+    assert len(s.coefficients) == 16
     assert s.coefficients[0] == 1.0
     assert np.all(np.isfinite(s.coefficients))
     assert mf.expected_error(mf.prefix_workload(n), s) < n * (n + 1) / 2

@@ -267,6 +267,28 @@ def test_group_level_run_samples_whole_groups(mechanism, strategy, monkeypatch):
     assert any(np.isin(keys, keys[b]).sum() != b.size for b in batches)
 
 
+def test_only_group_level_runs_read_the_group_keys(monkeypatch):
+    # Example-level clipping ignores group keys, so a private step of an
+    # example-level run does not gather them, even from a dataset that has them.
+    seen = []
+    reference = training.clipped_grad_sum
+
+    def spy(*args, group_keys=None, **kwargs):
+        seen.append(group_keys)
+        return reference(*args, group_keys=group_keys, **kwargs)
+
+    monkeypatch.setattr(training, "clipped_grad_sum", spy)
+    dataset = {"source": "synthetic", "n": 120, "d": 6,
+               "task": "binary-classification", "seed": 4, "num_groups": 30}
+    training.train(training.config_from_dict(_cfg_dict(dataset=dataset, steps=5)))
+    assert len(seen) == 5 and all(keys is None for keys in seen)
+    seen.clear()
+    training.train(training.config_from_dict(_cfg_dict(
+        dataset=dataset, clip={"clip_norm": 1.0, "level": "group"}, steps=5,
+    )))
+    assert len(seen) == 5 and all(keys is not None for keys in seen)
+
+
 def test_csv_round_trip(tmp_path):
     from dpcore import prng
 
@@ -602,6 +624,7 @@ _EARLY_ERRORS = {
     "group-level-without-group-keys": ("train", {"clip": {"clip_norm": 1.0, "level": "group"}}),
     "clip-geometry-linf": ("train", {"clip": {"clip_norm": 1.0, "geometry": "linf"}}),
     "clip-geometry-l2": ("train", {"clip": {"clip_norm": 1.0, "geometry": "l2"}}),
+    "clip-microbatch-size": ("train", {"clip": {"clip_norm": 1.0, "microbatch_size": 4}}),
     "audit-kind-gradient-direction": ("audit", {"audit": {"num_canaries": 10,
                                                           "kind": "gradient-direction"}}),
     "one-run-guesses-negative": ("audit", {"audit": {"num_canaries": 10,
@@ -698,6 +721,7 @@ def test_cli_field_errors_precede_the_dataset(tmp_path, monkeypatch, capsys, com
 
 _ERROR_LINES = {
     "clip-geometry-l2": "unknown field clip.geometry",
+    "clip-microbatch-size": "unknown field clip.microbatch_size",
     "unknown-top-level-field": "unknown field eval_evry",
     "audit-unknown-field": "unknown field audit.bogus",
     "model-without-input-dim": "missing field model.input_dim",

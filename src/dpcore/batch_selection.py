@@ -5,7 +5,8 @@ checked. :class:`BatchPlan` binds it to a dataset size, a horizon and a key,
 and checks only what that binding adds.
 
 Step t takes a pool of candidate units and yields it whole or
-Poisson-thinned, keeping each candidate independently with probability q.
+Poisson-thinned, keeping each candidate independently with probability q
+(:func:`prng.bernoulli`, one raw Philox word per candidate).
 Poisson thins all units. Cyclic-poisson reshuffles the units each epoch,
 cuts them into ceil(1/q) shards and thins shard j at the epoch's step j.
 Shuffled-fixed reshuffles each epoch and takes consecutive slices of B
@@ -13,7 +14,9 @@ whole, dropping a final partial slice.
 
 The unit is the privacy unit. It is a row unless the plan carries group
 keys; then it is a group, and a batch holds every row of each group drawn
-(user-level sampling, McMahan et al. 2018, arXiv:1710.06963). So a group
+(user-level sampling, McMahan et al. 2018, arXiv:1710.06963), found by
+marking the drawn groups in a boolean table and reading it at every row, in
+one pass and ascending row order, with no sort per step. So a group
 takes part in a Poisson step with probability q, the rate the accountant
 is charged, and a cyclic-poisson epoch puts each group in one shard. Only
 the Poisson family samples groups; shuffled-fixed batches count rows.
@@ -133,13 +136,18 @@ def _pools(plan: BatchPlan, n: int) -> Iterator[np.ndarray]:
 
 
 def _draws(plan: BatchPlan, n: int) -> Iterator[np.ndarray]:
-    """The units drawn at each of the T steps: the pool, whole or Poisson-thinned at rate q."""
+    """The units drawn at each of the T steps: the pool, whole or Poisson-thinned at rate q.
+
+    A Poisson pool is 0..n-1, so its thinned pool is the positions kept.
+    """
     batch = plan.batch
     for t, pool in zip(range(plan.iterations), _pools(plan, n)):
-        if batch.strategy != SHUFFLED_FIXED:
-            u = prng.uniform(prng.fold_in(prng.fold_in(plan.key, 0), t), pool.size)
-            pool = pool[u < batch.sampling_prob]
-        yield pool.astype(np.int64, copy=False)
+        if batch.strategy == SHUFFLED_FIXED:
+            yield pool.astype(np.int64, copy=False)
+            continue
+        key = prng.fold_in(prng.fold_in(plan.key, 0), t)
+        keep = prng.bernoulli(key, pool.size, batch.sampling_prob)
+        yield keep.nonzero()[0] if batch.strategy == POISSON else pool[keep]
 
 
 def batches(plan: BatchPlan) -> Iterator[np.ndarray]:
@@ -153,4 +161,10 @@ def batches(plan: BatchPlan) -> Iterator[np.ndarray]:
     if plan.group_keys is None:
         return _draws(plan, plan.n)
     groups, group_of = np.unique(plan.group_keys, return_inverse=True)
-    return (np.flatnonzero(np.isin(group_of, drawn)) for drawn in _draws(plan, groups.size))
+
+    def rows(drawn: np.ndarray) -> np.ndarray:
+        keep = np.zeros(groups.size, dtype=bool)
+        keep[drawn] = True
+        return keep[group_of].nonzero()[0]
+
+    return map(rows, _draws(plan, groups.size))

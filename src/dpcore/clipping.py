@@ -116,18 +116,37 @@ def _factored_norms(factors, radius: float):
     other rows (overflow, underflow, NaN or ±inf) take :func:`_scaled_norms`,
     which decides their norms and finite flags; radius 0 sends every row
     below the floor there.
+
+    The per-row floors are built only when some row's floor can exceed
+    radius²/2. Each is at most the bound Σ over layers of max over rows of
+    (‖a‖²+1)·2⁻⁹⁰⁰·o, summed in the same order, since rounding is monotone.
+    When that bound is at most radius²/2 every floor is 0, and a row is
+    kept exactly when its direct value is below ∞ (so not NaN). A NaN or
+    infinite bound builds the floors.
     """
-    squares = floor = 0.0
+    squares = None
+    bound = 0.0
+    floors = []
     for a, g in factors:
         a_sq = _row_squares(a)
         a_sq += 1.0
-        squares += a_sq * _row_squares(g)
-        floor += a_sq * (_DIRECT_FLOOR * g.shape[1])
-    floor = np.where(floor > 0.5 * radius * radius, floor, 0.0)
-    finite = squares >= floor  # False for NaN
-    finite &= squares < math.inf
+        layer = a_sq * _row_squares(g)
+        squares = layer if squares is None else squares + layer
+        scale = _DIRECT_FLOOR * g.shape[1]
+        bound += float(a_sq.max()) * scale
+        floors.append((a_sq, scale))
+    half_square = 0.5 * radius * radius
+    if bound <= half_square:
+        finite = squares < math.inf  # False for NaN
+    else:
+        floor = 0.0
+        for a_sq, scale in floors:
+            floor += a_sq * scale
+        floor = np.where(floor > half_square, floor, 0.0)
+        finite = squares >= floor  # False for NaN
+        finite &= squares < math.inf
     norms = np.sqrt(squares)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         rescale = np.flatnonzero(~finite)
         norms[rescale], finite[rescale] = _scaled_norms([(a[rescale], g[rescale]) for a, g in factors])
     return norms, finite

@@ -66,11 +66,15 @@ class Layout:
     def total_length(self) -> int:
         return sum(length for _, _, length in self.segments)
 
+    @functools.cached_property
+    def _slices(self) -> dict[str, slice]:
+        return {name: slice(offset, offset + length) for name, offset, length in self.segments}
+
     def slice_of(self, name: str) -> slice:
-        for seg_name, offset, length in self.segments:
-            if seg_name == name:
-                return slice(offset, offset + length)
-        raise KeyError(f"no segment named {name!r}")
+        try:
+            return self._slices[name]
+        except KeyError:
+            raise KeyError(f"no segment named {name!r}") from None
 
 
 def _make_layout(sizes: list[tuple[str, int]]) -> Layout:
@@ -183,6 +187,11 @@ class Model:
             if self.loss not in ("log", "mse"):
                 raise ValueError(f"unknown loss {self.loss!r}")
 
+    @property
+    def log_loss(self) -> bool:
+        """Whether the model trains on log loss (labels in [0, 1]) rather than squared error."""
+        return self.kind == LOGISTIC or (self.kind == MLP and self.loss == "log")
+
     def layout(self) -> Layout:
         d, h = self.input_dim, self.hidden_dim
         if self.kind in (LINEAR, LOGISTIC):
@@ -213,8 +222,12 @@ def init_params(model: Model, key: prng.PrngKey) -> GradientVector:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # expit, written out to keep the dependency surface of this module tiny:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, without branches.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # copysign(z, -1) is -|z| in one call, NaN payloads included.
+    e = np.exp(np.copysign(z, -1.0))
+    p = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    p /= e
+    return p
 
 
 def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -238,42 +251,54 @@ def batch_losses(
     features = np.ascontiguousarray(features)
     # The widest temporary is the MLP's (rows, h) hidden layer; the others are (rows,).
     block = max(1, _LOSS_BLOCK_ENTRIES // max(1, model.hidden_dim))
+    weights = _weights(model, params)
     losses = np.empty(features.shape[0], dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, losses.size, block):
             rows = slice(lo, lo + block)
-            losses[rows] = _batch_losses_impl(model, params, features[rows], labels[rows])
+            losses[rows] = _batch_losses_impl(model, weights, features[rows], labels[rows])
     return losses
 
 
-def _batch_losses_impl(model, params, features, labels):
-    if model.kind == LINEAR:
-        z = np.einsum("bd,d->b", features, params.segment("w"), **_EINSUM_OPTS)
-        z = z + params.segment("b")[0]
-        return 0.5 * (z - labels) ** 2
-    if model.kind == LOGISTIC:
-        z = np.einsum("bd,d->b", features, params.segment("w"), **_EINSUM_OPTS)
-        z = z + params.segment("b")[0]
-        return _log_loss(z, labels)
-    # mlp
-    z, _, _ = _mlp_forward(model, params, features)
-    if model.loss == "log":
+def _weights(model: Model, params: GradientVector) -> tuple:
+    """Views of the parameter segments: (w, b), or (w1 as (d, h), b1, w2, b2) for the mlp.
+
+    Each bias of one entry is read as a scalar.
+    """
+    seg = params.segment
+    if model.kind in (LINEAR, LOGISTIC):
+        return seg("w"), seg("b")[0]
+    return seg("w1").reshape(model.input_dim, model.hidden_dim), seg("b1"), seg("w2"), seg("b2")[0]
+
+
+def _linear_forward(weights, features: np.ndarray) -> np.ndarray:
+    w, b = weights
+    z = np.einsum("bd,d->b", features, w, **_EINSUM_OPTS)
+    z += b
+    return z
+
+
+def _batch_losses_impl(model, weights, features, labels):
+    if model.kind == MLP:
+        z, _, _ = _mlp_forward(model, weights, features)
+    else:
+        z = _linear_forward(weights, features)
+    if model.log_loss:
         return _log_loss(z, labels)
     return 0.5 * (z - labels) ** 2
 
 
-def _mlp_forward(model: Model, params: GradientVector, features: np.ndarray):
+def _mlp_forward(model: Model, weights, features: np.ndarray):
     # One product per row (see the module docstring); features is C-contiguous.
-    d, h = model.input_dim, model.hidden_dim
-    w1 = params.segment("w1").reshape(d, h)
+    w1, b1, w2, b2 = weights
     pre = (features[:, np.newaxis, :] @ w1)[:, 0, :]
-    pre += params.segment("b1")
+    pre += b1
     if model.activation == "relu":
         act = np.maximum(pre, 0.0)
     else:
         act = np.tanh(pre)
-    z = (act[:, np.newaxis, :] @ params.segment("w2"))[:, 0]
-    z += params.segment("b2")[0]
+    z = (act[:, np.newaxis, :] @ w2)[:, 0]
+    z += b2
     return z, pre, act
 
 
@@ -294,28 +319,25 @@ def layer_factors(
     The x returned is the features made C-contiguous. This is the one
     backprop of the module; :func:`batch_grads` materializes its outer
     products.
+
+    It runs under the caller's ``np.errstate``: non-finite features give
+    non-finite factors, and every caller in the package silences the
+    overflow and invalid-value warnings that come with them.
     """
     if features.shape[1] != model.input_dim:
         raise ValueError("feature dimension mismatch")
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _layer_factors_impl(model, params, np.ascontiguousarray(features), labels)
-
-
-def _layer_factors_impl(model, params, features, labels):
-    if model.kind in (LINEAR, LOGISTIC):
-        z = np.einsum("bd,d->b", features, params.segment("w"), **_EINSUM_OPTS)
-        z = z + params.segment("b")[0]
-        if model.kind == LINEAR:
-            dz = z - labels
-        else:
-            dz = _sigmoid(z) - labels
-        return ((features, dz[:, np.newaxis]),)
-    z, pre, act = _mlp_forward(model, params, features)
-    if model.loss == "log":
-        dz = _sigmoid(z) - labels
+    features = np.ascontiguousarray(features)
+    weights = _weights(model, params)
+    if model.kind == MLP:
+        z, pre, act = _mlp_forward(model, weights, features)
     else:
-        dz = z - labels
-    d_pre = np.multiply.outer(dz, params.segment("w2"))
+        z = _linear_forward(weights, features)
+    # dloss/dz is p - y for the log loss (p = sigmoid(z)) and z - y for mse.
+    dz = _sigmoid(z) if model.log_loss else z
+    dz -= labels
+    if model.kind != MLP:
+        return ((features, dz[:, np.newaxis]),)
+    d_pre = np.multiply.outer(dz, weights[2])
     if model.activation == "relu":
         d_pre *= pre > 0.0
     else:

@@ -9,10 +9,13 @@ derivation (seeding, splitting, fold-in) uses SHA-256 over the parent state
 plus a domain tag, which makes child keys collision-free by construction and
 splitting O(1) per child. A key's stream is the raw 64-bit output words of
 Philox-4x64-10 under the Philox key (w0, w1), starting at the counter
-(w2, w3, 0, 0). Uniforms take the top 53 bits of one word each. Normal
-deviates use a single fixed transform: 53-bit uniforms in (0, 1) mapped
-through the inverse normal CDF, so streams are reproducible at the bit level
-for a given numpy/scipy pair.
+(w2, w3, 0, 0). Uniforms take the top 53 bits of one word each. Bernoulli
+draws compare the raw words themselves with an integer threshold: a uniform
+u = top53·2⁻⁵³ is below p exactly when its word is below ⌈p·2⁵³⌉·2¹¹, so
+``bernoulli(key, n, p)`` equals ``uniform(key, n) < p`` bit for bit without
+building the floats. Normal deviates use a single fixed transform: 53-bit
+uniforms in (0, 1) mapped through the inverse normal CDF, so streams are
+reproducible at the bit level for a given numpy/scipy pair.
 
 Philox is counter-based, so a stream needs no set-up beyond its key and
 counter. Each thread therefore keeps one private Philox bit generator and
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import struct
 import threading
 
@@ -60,8 +64,16 @@ class PrngKey:
                 f"key words must be integers in [0, 2**64), got {self.words}"
             ) from None
 
-    def _bytes(self) -> bytes:
-        return _WORDS.pack(*self.words)
+
+def _derive(material: bytes) -> PrngKey:
+    """The key whose words are the SHA-256 digest of ``material``.
+
+    Four words unpacked from 32 bytes are always in range, so the check of
+    ``PrngKey.__post_init__`` is skipped.
+    """
+    key = object.__new__(PrngKey)
+    object.__setattr__(key, "words", _WORDS.unpack(hashlib.sha256(material).digest()))
+    return key
 
 
 def seed(s: int) -> PrngKey:
@@ -69,9 +81,7 @@ def seed(s: int) -> PrngKey:
 
     Equal seeds yield keys with identical streams.
     """
-    material = (int(s) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-    digest = hashlib.sha256(_SEED_TAG + material).digest()
-    return PrngKey(_WORDS.unpack(digest))
+    return _derive(_SEED_TAG + (int(s) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
 
 
 def split(key: PrngKey, n: int) -> list[PrngKey]:
@@ -97,9 +107,7 @@ def fold_in(key: PrngKey, index: int) -> PrngKey:
     """Derives the ``index``-th child of ``key`` without materializing siblings."""
     if index < 0:
         raise ValueError(f"fold_in index must be non-negative, got {index}")
-    material = key._bytes() + _SPLIT_TAG + int(index).to_bytes(8, "big")
-    digest = hashlib.sha256(material).digest()
-    return PrngKey(_WORDS.unpack(digest))
+    return _derive(_WORDS.pack(*key.words) + _SPLIT_TAG + int(index).to_bytes(8, "big"))
 
 
 _thread_local = threading.local()
@@ -129,22 +137,38 @@ def _bit_generator(key: PrngKey) -> np.random.Philox:
 
 
 def _top53(key: PrngKey, length: int) -> np.ndarray:
-    """The top 53 bits of the first ``length`` stream words, as float64."""
+    """The top 53 bits of the first ``length`` stream words, as a fresh float64 array."""
     raw = _bit_generator(key).random_raw(length)
-    return (raw >> np.uint64(11)).astype(np.float64)
-
-
-def _uniform_open(key: PrngKey, length: int) -> np.ndarray:
-    """53-bit uniforms strictly inside (0, 1), one per output element."""
-    # Offset by half a ulp so 0 and 1 are unreachable.
-    return (_top53(key, length) + 0.5) * 2.0**-53
+    raw >>= np.uint64(11)
+    return raw.astype(np.float64)
 
 
 def uniform(key: PrngKey, length: int) -> np.ndarray:
     """I.i.d. uniforms in [0, 1), deterministic given the key."""
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    return _top53(key, length) * 2.0**-53
+    u = _top53(key, length)
+    u *= 2.0**-53
+    return u
+
+
+def bernoulli(key: PrngKey, length: int, p: float) -> np.ndarray:
+    """I.i.d. Bernoulli(p) flags: ``uniform(key, length) < p``, bit for bit.
+
+    A uniform is u = top53·2⁻⁵³ with top53 the word's top 53 bits, an
+    integer, and scaling by a power of two is exact. So u < p exactly when
+    top53 < ⌈p·2⁵³⌉, that is when the raw word is below ⌈p·2⁵³⌉·2¹¹, which
+    compares the words without building the floats. At p ≥ 1 that threshold,
+    2⁶⁴, does not fit a word, and every u < 1 <= p is kept.
+    """
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
+    if not p >= 0.0:
+        raise ValueError(f"p must be a non-negative probability, got {p}")
+    if p >= 1.0:
+        return np.ones(length, dtype=bool)
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    return _bit_generator(key).random_raw(length) < threshold
 
 
 def gaussian(key: PrngKey, length: int, stddev: float) -> np.ndarray:
@@ -164,7 +188,14 @@ def gaussian(key: PrngKey, length: int, stddev: float) -> np.ndarray:
         raise ValueError(f"stddev must be non-negative, got {stddev}")
     if stddev == 0.0:
         return np.zeros(length, dtype=np.float64)
-    return ndtri(_uniform_open(key, length)) * stddev
+    # 53-bit uniforms strictly inside (0, 1): offset by half a ulp so 0 and 1
+    # are unreachable. Each step writes into the one fresh array.
+    z = _top53(key, length)
+    z += 0.5
+    z *= 2.0**-53
+    ndtri(z, out=z)
+    z *= stddev
+    return z
 
 
 def permutation(key: PrngKey, n: int) -> np.ndarray:

@@ -279,8 +279,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """The checks that span sections; no invalid configuration reaches step 1."""
     model = cfg.model
-    log_loss = model.kind == "logistic" or (model.kind == "mlp" and model.loss == "log")
-    _require(not (log_loss and cfg.dataset.task == "regression"),
+    _require(not (model.log_loss and cfg.dataset.task == "regression"),
              f"a {model.kind} model trains on log loss, which needs labels in [0, 1]; "
              "dataset.task is regression")
     if cfg.mechanism == "none":
@@ -620,9 +619,9 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkResult:
     best: dict[str, float] = {}
     for mechanism in ("none", "dpsgd"):
         for batch_size in sizes:
-            throughput = _benchmark_cell(
+            throughput = float(np.median(list(_benchmark_chunks(
                 cfg, model, dataset, mechanism, batch_size, clip, sigma
-            )
+            ))))
             rows.append({
                 "record": "sweep",
                 "model": model.kind,
@@ -647,7 +646,9 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkResult:
     return BenchmarkResult(rows=rows, max_throughput=best, ratio=ratio)
 
 
-def _benchmark_cell(cfg, model, dataset, mechanism, batch_size, clip, sigma):
+def _benchmark_chunks(cfg, model, dataset, mechanism, batch_size, clip, sigma):
+    """One sweep cell: runs the warmup steps, then yields the examples per
+    second of each of up to ten chunks of the measured steps, one at a time."""
     root = prng.seed(cfg.seed)
     params = init_params(model, prng.fold_in(root, 1))
     priv = None
@@ -670,9 +671,7 @@ def _benchmark_cell(cfg, model, dataset, mechanism, batch_size, clip, sigma):
 
     run(cfg.benchmark.warmup_steps)
     measured = cfg.benchmark.measured_steps
-    rates = []
     for chunk in np.array_split(np.arange(measured), min(measured, 10)):
         started = time.perf_counter()
         run(chunk.size)
-        rates.append(chunk.size * batch_size / (time.perf_counter() - started))
-    return float(np.median(rates))
+        yield chunk.size * batch_size / (time.perf_counter() - started)

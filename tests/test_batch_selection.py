@@ -225,3 +225,20 @@ def test_group_streams_are_pinned(strategy, digest):
     keys = np.arange(50) % 7
     plan = _plan(strategy, 0.3, n=50, iterations=20, key=prng.seed(7), group_keys=keys)
     assert _digest(plan) == digest
+
+
+def test_group_batches_hold_the_rows_np_isin_finds():
+    # A group-level batch marks the drawn groups in a lookup table and reads
+    # it at every row; the rows must be those np.isin finds, in ascending order.
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(1, 400))
+        keys = rng.integers(-3, int(rng.integers(1, 80)), n)  # gaps, negatives, repeats
+        strategy = (bs.POISSON, bs.CYCLIC_POISSON)[trial % 2]
+        q = float(rng.choice([0.05, 0.3, 0.5, 1.0]))
+        plan = _plan(strategy, q, n=n, iterations=8, key=prng.seed(trial), group_keys=keys)
+        _, group_of = np.unique(keys, return_inverse=True)
+        drawn_groups = bs._draws(plan, group_of.max() + 1)
+        for batch, drawn in zip(bs.batches(plan), drawn_groups, strict=True):
+            assert batch.dtype == np.int64
+            assert np.array_equal(batch, np.flatnonzero(np.isin(group_of, drawn)))

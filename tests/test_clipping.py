@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -458,3 +459,59 @@ def test_zero_gradients_inside_the_ball_skip_the_reference(rescaled):
         assert rescaled == calls
         assert res.contributing_count == 4 and not res.sum.values.any()
         rescaled.clear()
+
+
+def _norms_with_every_floor(factors, radius):
+    """_factored_norms with each row's floor built, the path its bound test may skip."""
+    squares = floor = 0.0
+    for a, g in factors:
+        a_sq = clipping._row_squares(a) + 1.0
+        squares = squares + a_sq * clipping._row_squares(g)
+        floor = floor + a_sq * (clipping._DIRECT_FLOOR * g.shape[1])
+    floor = np.where(floor > 0.5 * radius * radius, floor, 0.0)
+    finite = (squares >= floor) & (squares < np.inf)
+    norms = np.sqrt(squares)
+    rescale = np.flatnonzero(~finite)
+    if rescale.size:
+        norms[rescale], finite[rescale] = clipping._scaled_norms(
+            [(a[rescale], g[rescale]) for a, g in factors])
+    return norms, finite
+
+
+def _floor_bound(factors):
+    bound = 0.0
+    for a, g in factors:
+        bound += float((clipping._row_squares(a) + 1.0).max()) * (clipping._DIRECT_FLOOR * g.shape[1])
+    return bound
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nan_in", ["g", "a"])
+def test_floor_shortcut_matches_every_floor_built(nan_in):
+    # The per-row floors are skipped when no row's floor can exceed C²/2. On
+    # either side of that bound, the norms and finite flags must equal those
+    # computed with every floor built. Row 1 has a huge input and an output
+    # gradient whose squares underflow to 0: its floor, the largest, equals
+    # the bound, and sends the row to the scaled reference (a norm above 0)
+    # only when it exceeds C²/2. Row 2 holds a NaN, in g or in a (which makes
+    # the bound NaN, so every floor is built), and row 3 a zero gradient.
+    (x, d_pre), (act, dz) = factors = _mlp_factors(np.random.default_rng(4), 6, (-1, 1))
+    x[1] = 1e100
+    d_pre[1] *= 1e-170
+    dz[1] = 1e-170
+    d_pre[3] = dz[3] = 0.0
+    bound = _floor_bound(factors)
+    (d_pre if nan_in == "g" else x)[2, 3] = np.nan
+    edge = math.sqrt(2.0 * bound)
+    near = [edge * (1.0 + k * 2.0**-50) for k in range(-4, 5)]
+    assert {bound > 0.5 * radius * radius for radius in near} == {True, False}
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert math.isnan(_floor_bound(factors)) == (nan_in == "a")
+        for radius in near + [1e-300, 1.0, 1e300]:
+            above = bound > 0.5 * radius * radius
+            norms, finite = clipping._factored_norms(factors, radius)
+            want_norms, want_finite = _norms_with_every_floor(factors, radius)
+            assert np.array_equal(norms, want_norms, equal_nan=True), radius
+            assert np.array_equal(finite, want_finite), radius
+            assert list(finite) == [True, True, False, True, True, True]
+            assert (norms[1] > 0.0) == above and norms[3] == 0.0

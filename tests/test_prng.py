@@ -189,6 +189,10 @@ def _reference_words(key, length):
     return np.frombuffer(_reference_generator(key).bytes(8 * length), dtype=np.uint64)
 
 
+# The probability of the "bernoulli" draws below.
+_P = 0.3
+
+
 def _fresh(kind, key, length):
     """The draw of a brand-new generator, untouched by any earlier draw."""
     if kind == "permutation":
@@ -196,12 +200,16 @@ def _fresh(kind, key, length):
     top = (_reference_words(key, length) >> np.uint64(11)).astype(np.float64)
     if kind == "uniform":
         return top * 2.0**-53
+    if kind == "bernoulli":
+        return top * 2.0**-53 < _P
     return ndtri((top + 0.5) * 2.0**-53)
 
 
 def _draw(kind, key, length):
     if kind == "gaussian":
         return prng.gaussian(key, length, 1.0)
+    if kind == "bernoulli":
+        return prng.bernoulli(key, length, _P)
     return getattr(prng, kind)(key, length)
 
 
@@ -210,8 +218,42 @@ def test_raw_words_match_fresh_philox_bytes(length):
     for key in (prng.seed(0), prng.fold_in(prng.seed(7), 3), prng.PrngKey((2**64 - 1,) * 4)):
         assert np.array_equal(
             prng._bit_generator(key).random_raw(length), _reference_words(key, length))
-        for kind in ("uniform", "gaussian", "permutation"):
+        for kind in ("uniform", "gaussian", "permutation", "bernoulli"):
             assert np.array_equal(_draw(kind, key, length), _fresh(kind, key, length))
+
+
+_BERNOULLI_KEYS = (prng.seed(0), prng.seed(41), prng.fold_in(prng.seed(7), 3),
+                   prng.PrngKey((2**64 - 1,) * 4))
+
+
+@pytest.mark.parametrize("p", [1.0, 1 - 2.0**-53, 0.5, 0.1, 1 / 96, 0.005, 2.0**-53, 3 * 2.0**-53])
+def test_bernoulli_is_uniform_below_p_bit_for_bit(p):
+    for key in _BERNOULLI_KEYS:
+        for length in (0, 1, 3, 2000, 2817):
+            flags = prng.bernoulli(key, length, p)
+            assert flags.dtype == bool
+            assert np.array_equal(flags, prng.uniform(key, length) < p)
+
+
+def test_bernoulli_threshold_is_exact_at_drawn_uniforms():
+    # A p equal to a drawn uniform u must drop that entry (u < u is false),
+    # and the next double above u must keep it: the integer threshold sits
+    # exactly on the float boundary.
+    for key in _BERNOULLI_KEYS:
+        u = prng.uniform(key, 2000)
+        for p in (*u[:5], u.max(), u.min()):
+            for at in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)):
+                assert np.array_equal(prng.bernoulli(key, 2000, float(at)), u < at)
+
+
+def test_bernoulli_rejects_bad_arguments():
+    assert not prng.bernoulli(prng.seed(0), 50, 0.0).any()
+    assert prng.bernoulli(prng.seed(0), 50, 7.0).all()
+    for p in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="probability"):
+            prng.bernoulli(prng.seed(0), 5, p)
+    with pytest.raises(ValueError, match="non-negative"):
+        prng.bernoulli(prng.seed(0), -1, 0.5)
 
 
 # Draws that leave the generator mid-block (buffer_pos < 4) or holding a
@@ -220,7 +262,7 @@ _DIRTY_DRAWS = [("permutation", 2), ("permutation", 5), ("uniform", 3), ("gaussi
 
 
 @pytest.mark.parametrize("before", _DIRTY_DRAWS)
-@pytest.mark.parametrize("kind", ["uniform", "gaussian", "permutation"])
+@pytest.mark.parametrize("kind", ["uniform", "gaussian", "permutation", "bernoulli"])
 def test_draw_independent_of_previous_draw(before, kind):
     other, key = prng.seed(1), prng.seed(2)
     _draw(before[0], other, before[1])
@@ -230,9 +272,9 @@ def test_draw_independent_of_previous_draw(before, kind):
 def test_draws_from_two_threads_interleave_independently():
     # Lengths up to 3000, odd and even: numpy releases the interpreter lock
     # while it generates, so long draws of the two threads overlap.
-    kinds = ("uniform", "gaussian", "permutation")
+    kinds = ("uniform", "gaussian", "permutation", "bernoulli")
     plans = [
-        [(kinds[i % 3], prng.fold_in(prng.seed(100 + thread), i), 1 + (i * 389) % 3000)
+        [(kinds[i % 4], prng.fold_in(prng.seed(100 + thread), i), 1 + (i * 389) % 3000)
          for i in range(200)]
         for thread in range(2)
     ]

@@ -349,14 +349,16 @@ def test_benchmark_sweep_and_ratio():
 
 
 def test_benchmark_steady_state_stability():
-    # Doubling the measured steps should barely move the reported throughput:
-    # there is no systematic warmup drift left after the warmup phase. On a
-    # shared CPU, load from other processes comes and goes in phases of a
-    # few hundred ms that can double the step time, longer than a whole
-    # 250-step window (~0.1 s). So the two window lengths run back to back
-    # in 17 pairs, the shorter first in every other pair so that no phase of
-    # load favours one length, and each length's throughput is pooled over
-    # all its windows (over 1 s at 250 steps).
+    # Doubling the measured steps should barely move the reported throughput
+    # of a dpsgd cell: there is no systematic warmup drift left after the
+    # warmup phase. On a shared CPU, load from other processes comes and goes
+    # in phases of a few hundred ms that can double the step time, longer
+    # than a whole 250-step window (~0.1 s). So in each of 17 pairs the two
+    # window lengths run interleaved, one chunk of each in turn (10 chunks of
+    # 25 and of 50 steps), the shorter first in every other pair: both see
+    # the same phases of load. A cell's throughput is the median of its chunk
+    # rates, as run_benchmark reports it, and each length's throughput is
+    # pooled over its 17 windows.
     def cfg(steps):
         return training.config_from_dict({
             "model": {"kind": "mlp", "input_dim": 20, "hidden_dim": 64},
@@ -370,11 +372,22 @@ def test_benchmark_steady_state_stability():
             "seed": 0,
         })
 
+    configs = {steps: cfg(steps) for steps in (250, 500)}
+    dataset = training.build_dataset(configs[250])
+    clip = training.ClipConfig(clip_norm=1.0)
     seconds = {250: 0.0, 500: 0.0}
     for pair in range(17):
-        for steps in (250, 500) if pair % 2 == 0 else (500, 250):
-            throughput = training.run_benchmark(cfg(steps)).max_throughput["dpsgd"]
-            seconds[steps] += steps * 128 / throughput
+        order = (250, 500) if pair % 2 == 0 else (500, 250)
+        cells = {steps: training._benchmark_chunks(configs[steps], configs[steps].model, dataset,
+                                                   "dpsgd", 128, clip, 1.0)
+                 for steps in order}
+        rates = {steps: [] for steps in order}
+        for _ in range(10):
+            for steps in order:
+                rates[steps].append(next(cells[steps]))
+        for steps in order:
+            assert next(cells[steps], None) is None
+            seconds[steps] += steps * 128 / float(np.median(rates[steps]))
     base = 17 * 250 * 128 / seconds[250]
     doubled = 17 * 500 * 128 / seconds[500]
     assert abs(base - doubled) / base < 0.10

@@ -134,6 +134,26 @@ def test_rdp_within_reference_error_of_extended_precision(q, sigma):
     for a in (2, 8, 32, 202, 512):
         v, ref = values[a - 2], mpmath_rdp_by_ratio(q, sigma, a)
         assert abs(v - ref) <= _RDP_REFERENCE_ERROR[q, sigma] * ref, (a, v, ref)
+        assert abs(v - ref) <= accounting._rdp_error(q, sigma) / (a - 1), (a, v, ref)
+
+
+def test_special_functions_within_the_ulps_the_error_bound_assumes():
+    # accounting._rdp_error takes gammaln to within 8 ulp, and exp and log1p
+    # to within 4, at the arguments the term grid gives them.
+    def ulps(got, want):
+        return float(abs(mpmath.mpf(float(got)) - want)) / math.ulp(float(want))
+
+    rng = np.random.default_rng(3)
+    with mpmath.workdps(40):
+        x = np.arange(1.0, ORDERS[-1] + 2.0)
+        log_gammas = scipy.special.gammaln(x)
+        assert log_gammas[:2].tolist() == [0.0, 0.0]
+        assert max(ulps(g, mpmath.loggamma(v))
+                   for v, g in zip(x[2:].tolist(), log_gammas[2:])) <= 8
+        cells = rng.uniform(-700.0, 0.0, 2000)
+        assert max(ulps(e, mpmath.exp(y)) for y, e in zip(cells.tolist(), np.exp(cells))) <= 4
+        rests = 10 ** rng.uniform(-300.0, math.log10(512.0), 2000)
+        assert max(ulps(l, mpmath.log1p(r)) for r, l in zip(rests.tolist(), np.log1p(rests))) <= 4
 
 
 @functools.cache
@@ -290,6 +310,104 @@ def test_compose_scales_as_float_products():
         warnings.simplefilter("error")
         eps = accounting.epsilon(accounting.PrivacySpec(math.inf, 1e-5, 1e-150, 0.5, 10**9))
     assert eps == math.inf
+
+
+def full_grid_epsilon(q, sigma, steps, delta):
+    """Every order composed and converted: the value `epsilon` gives, bit for bit."""
+    with np.errstate(over="ignore"):
+        return accounting._to_epsilon(accounting._rdp_values(q, sigma) * steps, delta)
+
+
+def spec_epsilon(q, sigma, steps, delta):
+    return accounting.epsilon(accounting.PrivacySpec(math.inf, delta, sigma, q, steps))
+
+
+def test_epsilon_equals_full_grid_conversion_on_random_grid():
+    # The blocks the stop skips never hold a smaller value, over the ranges
+    # of q, sigma, T and delta the accountant is used at.
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        q, sigma = float(10 ** rng.uniform(-7, 0)), float(10 ** rng.uniform(-3, 5))
+        for _ in range(4):
+            steps = int(10 ** rng.uniform(0, math.log10(3e7)))
+            delta = float(10 ** rng.uniform(-14, -1))
+            case = q, sigma, steps, delta
+            assert spec_epsilon(*case) == full_grid_epsilon(*case), case
+
+
+@pytest.mark.parametrize("q, steps, delta, sigma, order", [
+    (0.1, 600, 1e-5, 41.40629114990794, 65),
+    (0.1, 600, 1e-5, 41.40629114990795, 66),
+    (0.1, 600, 1e-5, 86.44928106518611, 129),
+    (0.1, 600, 1e-5, 86.44928106518613, 130),
+    (0.01, 1000, 1e-5, 5.4919050996920165, 65),
+    (0.01, 1000, 1e-5, 5.491905099692017, 66),
+    (0.01, 1000, 1e-5, 11.27892204056609, 129),
+    (0.01, 1000, 1e-5, 11.278922040566092, 130),
+    (0.001, 100_000, 1e-7, 4.248862648989632, 65),
+    (0.001, 100_000, 1e-7, 4.248862648989633, 66),
+    (0.001, 100_000, 1e-7, 8.60898214585915, 129),
+    (0.001, 100_000, 1e-7, 8.608982145859152, 130),
+])
+def test_epsilon_bit_for_bit_where_best_order_crosses_a_block(q, steps, delta, sigma, order):
+    # Neighbouring sigmas where the best order moves from the last order of
+    # one block (65, 129) to the first of the next (66, 130).
+    shrink, slack, _ = accounting._conversion_terms(delta)
+    converted = accounting._rdp_values(q, sigma) * steps + shrink + slack
+    assert int(np.argmin(converted)) + ORDERS[0] == order
+    assert spec_epsilon(q, sigma, steps, delta) == full_grid_epsilon(q, sigma, steps, delta)
+
+
+@pytest.mark.parametrize("q, sigma, steps, delta", [
+    # Each has a block whose stop test passes without the margin and fails
+    # with it: T times the absolute error bound is what decides.
+    (0.00045758782379470625, 5723.984354761446, 6_625_116, 0.015643796407417913),
+    (9.909168923134195e-06, 9.865724913219633, 614_517_904, 3.9389926819383545e-12),
+    (2.0657550299988653e-07, 3437.321738979263, 512_247_180, 0.004249929800395362),
+    (1.1991830873948387e-06, 94710.63925981698, 54_372_768, 0.003264578825795027),
+    (5.067503014444537e-07, 30.79113275099936, 992_949_163, 0.0030211986731496165),
+    (1e-7, 1e5, 10**9, 1e-5),
+    (1e-4, 100.0, 10**9, 1e-14),
+    (1e-3, 30.0, 10**9, 0.1),
+])
+def test_epsilon_bit_for_bit_at_up_to_a_billion_steps(q, sigma, steps, delta):
+    assert spec_epsilon(q, sigma, steps, delta) == full_grid_epsilon(q, sigma, steps, delta)
+
+
+def test_epsilon_stop_holds_for_any_nondecreasing_curve(monkeypatch):
+    # The stop rests on monotonicity alone. A curve with steps, whose
+    # converted value rises inside a block and falls below its minimum again
+    # past it, must still give the minimum over every order.
+    rng = np.random.default_rng(7)
+    stepped = np.zeros(len(ORDERS))
+    stepped[40 - ORDERS[0]:] = 0.12  # after a rise at order 40, order 512 wins
+    shape = (200, len(ORDERS))
+    jumps = np.where(rng.random(shape) < 0.01, rng.exponential(0.05, shape), 0.0)
+    curves = [stepped, *np.cumsum(jumps, axis=1)]
+    for values in curves:
+        monkeypatch.setattr(accounting, "_rdp_blocks", lambda q, sigma: (
+            block.copy() for block in np.split(values, range(64, len(ORDERS), 64))))
+        assert spec_epsilon(0.1, 1.0, 1, 1e-5) == accounting._to_epsilon(values, 1e-5)
+
+
+def test_calibration_block_count(monkeypatch):
+    # The benchmark's two calibrations, 19 trial sigmas each, read 28 and 26
+    # blocks of 64 orders; every trial reading every block would be 152.
+    # Interior trials stop after one block; the bracket top reads all 8.
+    real = accounting._rdp_blocks
+    count = 0
+
+    def counting(q, sigma):
+        nonlocal count
+        for block in real(q, sigma):
+            count += 1
+            yield block
+
+    monkeypatch.setattr(accounting, "_rdp_blocks", counting)
+    for (target, q, steps), most in (((1.0, 0.1, 600), 28), ((4.0, 0.005, 20_000), 26)):
+        count = 0
+        accounting.calibrate_noise(target, 1e-5, q, steps)
+        assert count <= most, (target, q, steps, count)
 
 
 def curve(values):
@@ -473,6 +591,25 @@ def test_privacy_spec_invariants():
         accounting.PrivacySpec(1.0, 0.0, 1.0, 0.5, 10)
     with pytest.raises(ValueError):
         accounting.PrivacySpec(1.0, 1e-5, 1.0, 1.5, 10)
+    assert accounting.PrivacySpec(1.0, 1e-5, 1.0, 0.5, np.int64(10)).steps == 10
+
+
+@pytest.mark.parametrize("call", [
+    lambda: accounting.calibrate_noise(math.nan, 1e-5, 0.1, 600),
+    lambda: accounting.calibrate_mf_noise(math.nan, 1e-5),
+    lambda: accounting.calibrate_mf_noise(1.0, math.nan),
+    lambda: accounting.analytic_gaussian_epsilon(math.nan, 1e-5),
+    lambda: accounting.PrivacySpec(math.inf, 1e-5, math.nan, 0.1, 600),
+    lambda: accounting.PrivacySpec(math.inf, 1e-5, 1.0, 0.1, 2.5),
+    lambda: accounting.PrivacySpec(math.inf, 1e-5, 1.0, 0.1, True),
+], ids=["calibrate-nan-target", "calibrate-mf-nan-target", "calibrate-mf-nan-delta",
+        "analytic-nan-sigma", "spec-nan-sigma", "spec-fractional-steps", "spec-bool-steps"])
+def test_nan_and_non_integer_inputs_raise(call):
+    # A NaN fails every comparison, so each check is one that NaN fails; a
+    # check written as `x <= 0` would let it through to a number (a sigma of
+    # 1000, an epsilon of 2.8e-17 or inf). Steps are whole, and not a bool.
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_mf_epsilon_identity_matches_analytic():

@@ -428,8 +428,8 @@ def _smallest_sigma(target_epsilon: float, measure, limit: float, tolerance: flo
     Raises:
       CalibrationRangeError: The limit is not met at the bracket top.
     """
-    if not target_epsilon > 0:
-        raise ValueError(f"target epsilon must be positive, got {target_epsilon}")
+    if not 0 < target_epsilon < math.inf:
+        raise ValueError(f"target epsilon must be positive and finite, got {target_epsilon}")
     lo, hi = _SIGMA_BRACKET
     if measure(lo) <= limit:
         return lo

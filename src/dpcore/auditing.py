@@ -142,7 +142,7 @@ def score_canaries(
     The score is the negative loss of the canary under the final model: an
     included canary's flipped label was trained on, lowering its loss.
     """
-    return -batch_losses(model, final_params, canaries.features, canaries.labels)
+    return -batch_losses(model, final_params.values, canaries.features, canaries.labels)
 
 
 def _clopper_pearson_upper(k: int, n: int, confidence: float) -> float:

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .models import GradientVector, Model, layer_factors
+from .models import Model, layer_factors
 from .models import batch_grads  # noqa: F401  # not called here; bench/tracing.py wraps this name
 
 # A sum of squares below this may have lost bits to underflow (see _factored_norms).
@@ -73,16 +73,15 @@ class ClipConfig:
             raise ValueError(f"unknown clipping level {self.level!r}")
 
 
-@dataclasses.dataclass(frozen=True)
-class ClippedGradientSum:
-    """Sum of clipped per-unit gradients plus its sensitivity.
+class ClippedGradientSum(NamedTuple):
+    """Sum of clipped per-unit gradients, a flat array in layout order, plus its sensitivity.
 
     sensitivity is always the clip norm, a bound in L2: adding or removing
     one contributing unit (example or group) changes the sum by one clipped
     gradient, whose L2 norm is at most the clip norm.
     """
 
-    sum: GradientVector
+    sum: np.ndarray
     sensitivity: float
     contributing_count: int
     dropped_nonfinite_count: int
@@ -213,7 +212,7 @@ def _weighted_sum(factors, weights: Optional[np.ndarray] = None) -> np.ndarray:
 
 
 def grad_sum(
-    model: Model, params: GradientVector, features: np.ndarray, labels: np.ndarray
+    model: Model, params: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Unclipped sum of the per-example gradients of every row.
 
@@ -225,7 +224,7 @@ def grad_sum(
 
 def clipped_grad_sum(
     model: Model,
-    params: GradientVector,
+    params: np.ndarray,
     features: np.ndarray,
     labels: np.ndarray,
     cfg: ClipConfig,
@@ -240,7 +239,7 @@ def clipped_grad_sum(
 
     Args:
       model: The model whose per-example gradients are aggregated.
-      params: Current parameters.
+      params: Current parameters, a flat array in layout order.
       features: (B, d) feature rows; B may be 0.
       labels: (B,) labels.
       cfg: Clip configuration.
@@ -255,9 +254,8 @@ def clipped_grad_sum(
         raise ValueError("labels and group_keys need one entry per feature row")
     if cfg.level == "group" and group_keys is None:
         raise ValueError("group-level clipping requires group keys")
-    layout = params.layout
     if n == 0:
-        return ClippedGradientSum(GradientVector.zeros(layout), cfg.clip_norm, 0, 0)
+        return ClippedGradientSum(np.zeros(params.size), cfg.clip_norm, 0, 0)
     if cfg.level == "example":
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             factors = layer_factors(model, params, features, labels)
@@ -277,7 +275,7 @@ def clipped_grad_sum(
         order = np.argsort(group_keys, kind="stable")
         keys = group_keys[order]
         ends = [*np.flatnonzero(keys[1:] != keys[:-1]) + 1, n]
-        total = np.zeros(layout.total_length, dtype=np.float64)
+        total = np.zeros(params.size, dtype=np.float64)
         kept = lo = 0
         with np.errstate(invalid="ignore", over="ignore"):
             factors = layer_factors(model, params, features[order], labels[order])
@@ -294,9 +292,4 @@ def clipped_grad_sum(
                     total += group_sum
                     kept += 1
         units = len(ends)
-    return ClippedGradientSum(
-        sum=GradientVector(total, layout),
-        sensitivity=cfg.clip_norm,
-        contributing_count=kept,
-        dropped_nonfinite_count=units - kept,
-    )
+    return ClippedGradientSum(total, cfg.clip_norm, kept, units - kept)

@@ -5,9 +5,9 @@ one-hidden-layer MLP) implemented with explicit backprop in numpy. They are
 the substrate the clipping machinery operates on; everything downstream is
 model-agnostic.
 
-All parameters and gradients travel as :class:`GradientVector`, a flat
-float64 array with a named segment layout, so optimizer and noise code never
-needs to know the model structure.
+Parameters and gradients travel as flat float64 arrays in :class:`Layout`
+order, so optimizer and noise code never needs to know the model structure;
+:func:`init_params` returns them with their checked layout, a GradientVector.
 
 Examples travel as arrays, never as per-example objects: a batch is a
 (B, d) feature matrix and a (B,) label vector, and :func:`batch_grads` and
@@ -35,10 +35,16 @@ change their last bits (one BLAS thread on a 2-vCPU x86-64 host). The linear
 and logistic models keep the fixed-order einsum; their one product is a dot
 per row. Whole-batch reductions, such as clipping's sum over the rows, may
 use any BLAS call: their result depends on the whole batch anyway.
+
+BLAS runs faster on arrays that start on a 64-byte boundary (the first
+per-row product: 25 against 35 µs at B=175, d=20, h=128 with ``w1``, the
+first segment, aligned). So parameters, the first product's output and
+``d_pre`` come from :func:`aligned_empty`, one address read each.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 from typing import Optional
@@ -88,12 +94,7 @@ def _make_layout(sizes: list[tuple[str, int]]) -> Layout:
 
 @dataclasses.dataclass(frozen=True)
 class GradientVector:
-    """A flat float64 vector with a named segment layout.
-
-    Used for parameters, gradients, optimizer moments, and noise. Arithmetic
-    is only defined between vectors with identical layouts. Treat instances
-    as immutable; operations return new vectors.
-    """
+    """Parameters as a caller receives them: a flat float64 vector with its checked layout."""
 
     values: np.ndarray
     layout: Layout
@@ -107,20 +108,16 @@ class GradientVector:
                 f"length {self.layout.total_length}"
             )
 
-    def _check_layout(self, other: "GradientVector") -> None:
-        if self.layout != other.layout:
-            raise ValueError("gradient vectors have different layouts")
-
-    def __add__(self, other: "GradientVector") -> "GradientVector":
-        self._check_layout(other)
-        return GradientVector(self.values + other.values, self.layout)
-
     def segment(self, name: str) -> np.ndarray:
         return self.values[self.layout.slice_of(name)]
 
-    @classmethod
-    def zeros(cls, layout: Layout) -> "GradientVector":
-        return cls(np.zeros(layout.total_length, dtype=np.float64), layout)
+
+def aligned_empty(length: int) -> np.ndarray:
+    """An uninitialized float64 array of ``length`` entries starting on a 64-byte boundary."""
+    buffer = np.empty(length + 7, dtype=np.float64)
+    # The address through ctypes.c_char costs 0.3 µs; buffer.ctypes.data, 1.3 µs.
+    start = (-ctypes.addressof(ctypes.c_char.from_buffer(buffer)) % 64) // 8
+    return buffer[start : start + length]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,17 +202,13 @@ class Model:
 def init_params(model: Model, key: prng.PrngKey) -> GradientVector:
     """Deterministic init: weights N(0, 1/fan_in), biases exactly zero."""
     layout = model.layout()
-    values = np.zeros(layout.total_length, dtype=np.float64)
+    values = aligned_empty(layout.total_length)
+    values[:] = 0.0
     d, h = model.input_dim, model.hidden_dim
-    if model.kind in (LINEAR, LOGISTIC):
-        weight_segs = [("w", d)]
-    else:
-        weight_segs = [("w1", d), ("w2", h)]
-    keys = prng.split(key, len(weight_segs))
-    for (name, fan_in), k in zip(weight_segs, keys):
+    weight_segs = [("w", d)] if model.kind in (LINEAR, LOGISTIC) else [("w1", d), ("w2", h)]
+    for (name, fan_in), k in zip(weight_segs, prng.split(key, len(weight_segs))):
         sl = layout.slice_of(name)
-        length = sl.stop - sl.start
-        values[sl] = prng.gaussian(k, length, 1.0 / np.sqrt(fan_in))
+        values[sl] = prng.gaussian(k, sl.stop - sl.start, 1.0 / np.sqrt(fan_in))
     return GradientVector(values, layout)
 
 
@@ -237,7 +230,7 @@ def _log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def batch_losses(
-    model: Model, params: GradientVector, features: np.ndarray, labels: np.ndarray
+    model: Model, params: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Per-example losses for a (B, d) feature matrix. Vectorized.
 
@@ -260,15 +253,16 @@ def batch_losses(
     return losses
 
 
-def _weights(model: Model, params: GradientVector) -> tuple:
-    """Views of the parameter segments: (w, b), or (w1 as (d, h), b1, w2, b2) for the mlp.
+def _weights(model: Model, params: np.ndarray) -> tuple:
+    """Views of the segments of :meth:`Model.layout`: (w, b), or (w1 as (d, h), b1, w2, b2).
 
     Each bias of one entry is read as a scalar.
     """
-    seg = params.segment
+    d, h = model.input_dim, model.hidden_dim
     if model.kind in (LINEAR, LOGISTIC):
-        return seg("w"), seg("b")[0]
-    return seg("w1").reshape(model.input_dim, model.hidden_dim), seg("b1"), seg("w2"), seg("b2")[0]
+        return params[:d], params[d]
+    w, b = d * h, d * h + h  # the ends of the w1 and b1 segments
+    return params[:w].reshape(d, h), params[w:b], params[b : b + h], params[b + h]
 
 
 def _linear_forward(weights, features: np.ndarray) -> np.ndarray:
@@ -280,7 +274,7 @@ def _linear_forward(weights, features: np.ndarray) -> np.ndarray:
 
 def _batch_losses_impl(model, weights, features, labels):
     if model.kind == MLP:
-        z, _, _ = _mlp_forward(model, weights, features)
+        z, _ = _mlp_forward(model, weights, features)
     else:
         z = _linear_forward(weights, features)
     if model.log_loss:
@@ -291,19 +285,20 @@ def _batch_losses_impl(model, weights, features, labels):
 def _mlp_forward(model: Model, weights, features: np.ndarray):
     # One product per row (see the module docstring); features is C-contiguous.
     w1, b1, w2, b2 = weights
-    pre = (features[:, np.newaxis, :] @ w1)[:, 0, :]
+    out = aligned_empty(features.shape[0] * w1.shape[1]).reshape(-1, 1, w1.shape[1])
+    pre = np.matmul(features[:, np.newaxis, :], w1, out=out)[:, 0, :]
     pre += b1
     if model.activation == "relu":
-        act = np.maximum(pre, 0.0)
+        act = np.maximum(pre, 0.0, out=pre)
     else:
-        act = np.tanh(pre)
+        act = np.tanh(pre, out=pre)
     z = (act[:, np.newaxis, :] @ w2)[:, 0]
     z += b2
-    return z, pre, act
+    return z, act
 
 
 def layer_factors(
-    model: Model, params: GradientVector, features: np.ndarray, labels: np.ndarray
+    model: Model, params: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-example gradients in factored form: one (inputs, output grads) pair per layer.
 
@@ -329,7 +324,7 @@ def layer_factors(
     features = np.ascontiguousarray(features)
     weights = _weights(model, params)
     if model.kind == MLP:
-        z, pre, act = _mlp_forward(model, weights, features)
+        z, act = _mlp_forward(model, weights, features)
     else:
         z = _linear_forward(weights, features)
     # dloss/dz is p - y for the log loss (p = sigmoid(z)) and z - y for mse.
@@ -337,16 +332,19 @@ def layer_factors(
     dz -= labels
     if model.kind != MLP:
         return ((features, dz[:, np.newaxis]),)
-    d_pre = np.multiply.outer(dz, weights[2])
+    # The einsum takes half the time of np.multiply.outer, but adds each
+    # product to +0: a −0 product comes out +0, the one difference.
+    d_pre = aligned_empty(act.size).reshape(act.shape)
+    np.einsum("b,h->bh", dz, weights[2], out=d_pre, **_EINSUM_OPTS)
     if model.activation == "relu":
-        d_pre *= pre > 0.0
+        d_pre *= act > 0.0  # act = max(pre, 0) > 0 exactly where pre > 0, NaN included
     else:
-        d_pre *= 1.0 - act**2
+        d_pre *= 1.0 - act * act
     return ((features, d_pre), (act, dz[:, np.newaxis]))
 
 
 def batch_grads(
-    model: Model, params: GradientVector, features: np.ndarray, labels: np.ndarray
+    model: Model, params: np.ndarray, features: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Per-example gradients, one row per example, shape (B, P).
 
@@ -356,7 +354,7 @@ def batch_grads(
     rows.
     """
     n = features.shape[0]
-    grads = np.empty((n, params.layout.total_length), dtype=np.float64)
+    grads = np.empty((n, params.size), dtype=np.float64)
     offset = 0
     with np.errstate(invalid="ignore", over="ignore"):
         for a, g in layer_factors(model, params, features, labels):
@@ -368,7 +366,7 @@ def batch_grads(
     return grads
 
 
-def dataset_mean_loss(model: Model, params: GradientVector, dataset: Dataset) -> float:
+def dataset_mean_loss(model: Model, params: np.ndarray, dataset: Dataset) -> float:
     """Mean per-example loss over a dataset, ignoring non-finite entries."""
     losses = batch_losses(model, params, dataset.features, dataset.labels)
     finite = losses[np.isfinite(losses)]

@@ -1,9 +1,9 @@
 """Post-privatization parameter update rules: SGD and AdamW.
 
-Updates consume an (already noised and normalized) gradient and return the
-additive parameter update plus the next optimizer state. Both rules are
-pure functions; AdamW keeps its moments in GradientVectors matching the
-parameter layout.
+An update reads the (already noised and normalized) gradient and the
+parameters, flat arrays of one length, and returns the new parameters in a
+fresh 64-byte-aligned array (:func:`models.aligned_empty`), computed there
+in the formulas' order. AdamW advances its state's moments in place.
 
 Gradient normalization (dividing the noisy sum by the expected batch size)
 is the trainer's job, before the optimizer: the privatizer's output stays
@@ -16,33 +16,36 @@ import dataclasses
 
 import numpy as np
 
-from .models import GradientVector, Layout
+from .models import Layout, aligned_empty
 
 ADAMW_DEFAULTS = dict(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
 
 
-def sgd_update(
-    lr: float, grad: GradientVector, params: GradientVector
-) -> tuple[GradientVector, None]:
-    """update = -lr * grad; stateless."""
-    if grad.layout != params.layout:
-        raise ValueError("gradient and parameter layouts differ")
-    return GradientVector(-lr * grad.values, grad.layout), None
+def _check(array: np.ndarray, params: np.ndarray) -> None:
+    # Without it a one-entry gradient would broadcast over every parameter.
+    if array.shape != params.shape:
+        raise ValueError(f"shape {array.shape} does not match the parameter shape {params.shape}")
 
 
-@dataclasses.dataclass(frozen=True)
+def sgd_update(lr: float, grad: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """params + (-lr * grad); stateless."""
+    _check(grad, params)
+    new = np.multiply(grad, -lr, out=aligned_empty(params.size))
+    new += params
+    return new
+
+
+@dataclasses.dataclass
 class AdamWState:
+    """The step count and the two moments; :func:`adamw_update` advances them in place."""
+
     step: int
-    first_moment: GradientVector
-    second_moment: GradientVector
+    first_moment: np.ndarray
+    second_moment: np.ndarray
 
 
 def adamw_init(layout: Layout) -> AdamWState:
-    return AdamWState(
-        step=0,
-        first_moment=GradientVector.zeros(layout),
-        second_moment=GradientVector.zeros(layout),
-    )
+    return AdamWState(0, np.zeros(layout.total_length), np.zeros(layout.total_length))
 
 
 def adamw_update(
@@ -51,26 +54,32 @@ def adamw_update(
     beta2: float,
     eps: float,
     weight_decay: float,
-    grad: GradientVector,
+    grad: np.ndarray,
     state: AdamWState,
-    params: GradientVector,
-) -> tuple[GradientVector, AdamWState]:
+    params: np.ndarray,
+) -> np.ndarray:
     """One AdamW step with bias correction and decoupled weight decay.
 
     m <- b1 m + (1-b1) g;  v <- b2 v + (1-b2) g^2
-    update = -lr * ( m_hat / (sqrt(v_hat) + eps) + weight_decay * params )
+    params - lr * ( m_hat / (sqrt(v_hat) + eps) + weight_decay * params )
     """
-    if grad.layout != params.layout:
-        raise ValueError("gradient and parameter layouts differ")
-    t = state.step + 1
-    m = beta1 * state.first_moment.values + (1.0 - beta1) * grad.values
-    v = beta2 * state.second_moment.values + (1.0 - beta2) * grad.values**2
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    step = m_hat / (np.sqrt(v_hat) + eps) + weight_decay * params.values
-    new_state = AdamWState(
-        step=t,
-        first_moment=GradientVector(m, grad.layout),
-        second_moment=GradientVector(v, grad.layout),
-    )
-    return GradientVector(-lr * step, grad.layout), new_state
+    _check(grad, params)
+    m, v = state.first_moment, state.second_moment
+    _check(m, params)
+    state.step = t = state.step + 1
+    term = grad * grad
+    term *= 1.0 - beta2
+    v *= beta2
+    v += term
+    new = np.multiply(grad, 1.0 - beta1, out=aligned_empty(params.size))
+    m *= beta1
+    m += new
+    np.divide(m, 1.0 - beta1**t, out=new)  # m_hat
+    np.divide(v, 1.0 - beta2**t, out=term)  # v_hat
+    np.sqrt(term, out=term)
+    term += eps
+    new /= term
+    new += np.multiply(params, weight_decay, out=term)
+    new *= -lr
+    new += params
+    return new

@@ -13,21 +13,25 @@ one free value, the clip norm C read from the sensitivity attached to the
 sum being noised, and ||c|| the strategy's sensitivity. Noise therefore
 cannot disagree with the sensitivity of the sum it is added to.
 
-States are immutable values and ``privatize`` is pure: replaying the same
-(privatizer, input, state) yields identical output. An empty-batch input
-(contributing_count 0) is perfectly valid and produces a pure-noise step.
+Sums and noise are bare float64 arrays of the length fixed by the layout
+the state is built from (:func:`init`). States are immutable values and
+``privatize`` is pure: it changes neither its input nor its state, and
+replaying the same (privatizer, input, state) yields identical output. An
+empty-batch input (contributing_count 0) is perfectly valid and produces a
+pure-noise step.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from . import matrix_factorization, prng
 from .clipping import ClippedGradientSum
-from .models import GradientVector, Layout
+from .models import Layout
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,9 +55,8 @@ class Privatizer:
             )
 
 
-@dataclasses.dataclass(frozen=True)
-class PrivatizerState:
-    """Streaming state: step index, key chain, and the band ring buffer.
+class PrivatizerState(NamedTuple):
+    """Streaming state: step index, key chain, noise length and the band ring buffer.
 
     The buffer holds the most recent correlated noise vectors, newest first,
     and never exceeds bands - 1 entries.
@@ -62,17 +65,17 @@ class PrivatizerState:
     step: int
     key: prng.PrngKey
     buffer: tuple[np.ndarray, ...]
-    layout: Layout
+    length: int
 
 
 def init(p: Privatizer, layout: Layout, key: prng.PrngKey) -> PrivatizerState:
-    """Fresh state: step 0, empty buffer."""
-    return PrivatizerState(step=0, key=key, buffer=(), layout=layout)
+    """Fresh state for noise of the layout's length: step 0, empty buffer."""
+    return PrivatizerState(step=0, key=key, buffer=(), length=layout.total_length)
 
 
 def privatize(
     p: Privatizer, csum: ClippedGradientSum, state: PrivatizerState
-) -> tuple[GradientVector, PrivatizerState]:
+) -> tuple[np.ndarray, PrivatizerState]:
     """Adds this step's noise to a clipped gradient sum.
 
     Args:
@@ -81,33 +84,27 @@ def privatize(
       state: Current streaming state.
 
     Returns:
-      (noisy sum, next state). With noise multiplier 0 the sum passes
-      through exactly.
+      (noisy sum, next state); the noisy sum is a new array. With noise
+      multiplier 0 the sum passes through exactly.
 
     Raises:
       ValueError: the attached sensitivity is not positive and finite, or
-        the input's layout does not match the state's.
+        the sum's shape is not the state's.
     """
-    if csum.sum.layout != state.layout:
-        raise ValueError("input layout does not match privatizer state layout")
+    if csum.sum.shape != (state.length,):
+        raise ValueError(f"sum shape {csum.sum.shape} does not match noise length {state.length}")
     if not 0.0 < csum.sensitivity < math.inf:
         raise ValueError(
             f"attached sensitivity must be positive and finite, got {csum.sensitivity}"
         )
     step_key, carry_key = prng.split(state.key, 2)
-    dim = state.layout.total_length
     stddev = p.noise_multiplier * csum.sensitivity * p.strategy.sensitivity
-    fresh = prng.gaussian(step_key, dim, stddev)
+    emitted = prng.gaussian(step_key, state.length, stddev)
 
     c = p.strategy.coefficients
-    emitted = fresh
     for c_j, prev in zip(c[1:], state.buffer):
-        emitted = emitted - c_j * prev
+        emitted -= c_j * prev
     buffer = ((emitted,) + state.buffer)[: len(c) - 1]
-
-    noisy = GradientVector(csum.sum.values + emitted, state.layout)
-    next_state = PrivatizerState(
-        step=state.step + 1, key=carry_key, buffer=buffer, layout=state.layout
-    )
-    return noisy, next_state
-
+    # With no band to keep, the sum goes into the fresh noise array.
+    noisy = np.add(csum.sum, emitted, out=emitted if not buffer else None)
+    return noisy, PrivatizerState(state.step + 1, carry_key, buffer, state.length)

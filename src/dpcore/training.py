@@ -3,14 +3,17 @@
 One training step is the fixed composition
 
     batch indices -> gather rows -> clipped gradient sum -> privatize ->
-    normalize by the expected batch size -> optimizer update -> apply,
+    normalize by the expected batch size -> optimizer update,
 
 with the non-private baseline (mechanism "none") replacing the clipped sum
 and privatize stages by the unclipped gradient sum
 (:func:`clipping.grad_sum`, the same per-layer reduction with every clip
 factor 1). Neither sum materializes per-example gradients, at either
-clipping level. The step is written once, in :func:`train_step`,
-which the training loop and the benchmark cells both call. Everything
+clipping level. The stages pass flat float64 arrays (the noisy sum is
+normalized in place); the one layout is checked where the run's state is
+built, and the final parameters go back as a GradientVector. The step is
+written once, in :func:`train_step`, which the training loop, the
+benchmark cells and the audit's training run all call. Everything
 stochastic flows from the run seed through explicit PRNG keys, so a report
 is a pure function of its config (timing fields aside).
 
@@ -180,7 +183,7 @@ class PrivacyConfig:
             "specify exactly one of privacy.target_epsilon and privacy.noise_multiplier",
         )
         if has_target:
-            _require(self.target_epsilon > 0, "target_epsilon must be positive")
+            _require(0 < self.target_epsilon < math.inf, "target_epsilon must be in (0, inf)")
         else:
             _require(self.noise_multiplier >= 0, "noise_multiplier must be non-negative")
         _require(0.0 < self.delta < 1.0, "delta must be in (0, 1)")
@@ -455,13 +458,14 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
         )
     denom = plan.expected_batch_size
 
-    params = init_params(model, init_key)
+    initial = init_params(model, init_key)
+    params = initial.values
 
     sigma = strategy = achieved = priv = priv_state = None
     if cfg.mechanism != "none":
         sigma, strategy, achieved = _private_noise(cfg)
         priv = Privatizer(sigma, strategy)
-        priv_state = privatizer_init(priv, params.layout, noise_key)
+        priv_state = privatizer_init(priv, initial.layout, noise_key)
     optimized = strategy if cfg.mechanism == "banded-mf" else None
 
     eval_every = cfg.eval_every if cfg.eval_every is not None else max(1, cfg.steps // 20)
@@ -510,7 +514,8 @@ def run_training(cfg: RunConfig, dataset: Dataset) -> TrainOutcome:
             "seconds_per_step": elapsed / cfg.steps,
         },
     }
-    return TrainOutcome(final_params=params, report=report)
+    # Copied out of the aligned buffer: callers keeping many outcomes peak lower in RSS.
+    return TrainOutcome(final_params=GradientVector(params.copy(), initial.layout), report=report)
 
 
 def train_step(model, dataset, batch_idx, params, opt_state, priv_state, *,
@@ -520,7 +525,7 @@ def train_step(model, dataset, batch_idx, params, opt_state, priv_state, *,
     Gathers the rows, sums their clipped gradients and privatizes the sum
     (or, when ``priv`` is None, the non-private baseline, sums their
     unclipped gradients), divides by ``denom``, and applies the optimizer
-    update. ``opt_state`` None starts a fresh optimizer.
+    update to the flat ``params``. ``opt_state`` None starts a fresh optimizer.
 
     Returns:
       (params, opt_state, priv_state, csum): the next state, and the
@@ -530,23 +535,22 @@ def train_step(model, dataset, batch_idx, params, opt_state, priv_state, *,
     labels = dataset.labels[batch_idx]
     if priv is None:
         csum = None
-        grad = GradientVector(grad_sum(model, params, features, labels), params.layout)
+        grad = grad_sum(model, params, features, labels)
     else:
         group_keys = None  # read only by group-level clipping
         if dataset.group_keys is not None and clip.level == "group":
             group_keys = dataset.group_keys[batch_idx]
         csum = clipped_grad_sum(model, params, features, labels, clip, group_keys=group_keys)
         grad, priv_state = privatize(priv, csum, priv_state)
-    grad = GradientVector(grad.values / denom, params.layout)
+    grad /= denom  # a new array in either branch
     o = optimizer
     if o.kind == "sgd":
-        update, opt_state = sgd_update(o.learning_rate, grad, params)
+        params = sgd_update(o.learning_rate, grad, params)
     else:
-        update, opt_state = adamw_update(
-            o.learning_rate, o.beta1, o.beta2, o.eps, o.weight_decay,
-            grad, opt_state or adamw_init(params.layout), params,
-        )
-    return params + update, opt_state, priv_state, csum
+        opt_state = opt_state or adamw_init(model.layout())
+        params = adamw_update(o.learning_rate, o.beta1, o.beta2, o.eps, o.weight_decay,
+                              grad, opt_state, params)
+    return params, opt_state, priv_state, csum
 
 
 def train(cfg: RunConfig) -> TrainOutcome:
@@ -650,13 +654,12 @@ def _benchmark_chunks(cfg, model, dataset, mechanism, batch_size, clip, sigma):
     """One sweep cell: runs the warmup steps, then yields the examples per
     second of each of up to ten chunks of the measured steps, one at a time."""
     root = prng.seed(cfg.seed)
-    params = init_params(model, prng.fold_in(root, 1))
-    priv = None
-    priv_state = None
+    initial = init_params(model, prng.fold_in(root, 1))
+    params = initial.values
+    priv = priv_state = opt_state = None
     if mechanism == "dpsgd":
         priv = Privatizer(sigma)
-        priv_state = privatizer_init(priv, params.layout, prng.fold_in(root, 3))
-    opt_state = None
+        priv_state = privatizer_init(priv, initial.layout, prng.fold_in(root, 3))
     n = dataset.size
 
     def run(count):

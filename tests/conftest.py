@@ -41,14 +41,14 @@ def random_batch(rng, d: int, size: int, classification: bool = True):
 
 def finite_difference_grad(model, params, features, labels, step=1e-5) -> np.ndarray:
     """Central-difference gradient oracle for a one-row batch, independent of backprop."""
-    grad = np.zeros_like(params.values)
-    for i in range(params.values.size):
-        up = params.values.copy()
-        dn = params.values.copy()
+    grad = np.zeros_like(params)
+    for i in range(params.size):
+        up = params.copy()
+        dn = params.copy()
         up[i] += step
         dn[i] -= step
-        lu = models.batch_losses(model, models.GradientVector(up, params.layout), features, labels)
-        ld = models.batch_losses(model, models.GradientVector(dn, params.layout), features, labels)
+        lu = models.batch_losses(model, up, features, labels)
+        ld = models.batch_losses(model, dn, features, labels)
         grad[i] = (lu[0] - ld[0]) / (2.0 * step)
     return grad
 
@@ -62,7 +62,6 @@ def materialized_clipped_sum(model, params, features, labels, clip_norm, group_k
     C/‖v‖₂ when their norm exceeds C and summed. One key per row is
     example-level clipping.
     """
-    layout = params.layout
     group_sums = {}
     with np.errstate(invalid="ignore", over="ignore"):
         for key, row in zip(np.asarray(group_keys).tolist(),
@@ -71,20 +70,14 @@ def materialized_clipped_sum(model, params, features, labels, clip_norm, group_k
                 group_sums[key] += row
             else:
                 group_sums[key] = row.copy()
-        total = np.zeros(layout.total_length)
+        total = np.zeros(params.size)
         kept = 0
         for group_sum in group_sums.values():
             if np.all(np.isfinite(group_sum)):
                 norm = clipping.l2_norm(group_sum)
                 total += group_sum * (clip_norm / norm) if norm > clip_norm else group_sum
                 kept += 1
-    return clipping.ClippedGradientSum(
-        models.GradientVector(total, layout), clip_norm, kept, len(group_sums) - kept
-    )
-
-
-def fresh_params(model, seed=0):
-    return models.init_params(model, prng.seed(seed))
+    return clipping.ClippedGradientSum(total, clip_norm, kept, len(group_sums) - kept)
 
 
 def banded_toeplitz(coefficients, n: int) -> np.ndarray:

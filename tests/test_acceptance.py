@@ -44,19 +44,19 @@ def test_criterion_01_microbatch_invariance():
     counts_add_up = True
     for trial in range(50):
         model = random_model(rng)
-        params = models.init_params(model, prng.seed(trial))
+        params = models.init_params(model, prng.seed(trial)).values
         features, labels = random_batch(rng, model.input_dim, int(rng.integers(0, 21)))
         full = clipping.clipped_grad_sum(model, params, features, labels, cfg)
         for m in (1, 4):
-            total = np.zeros_like(full.sum.values)
+            total = np.zeros_like(full.sum)
             counts = np.zeros(2, dtype=int)
             for lo in range(0, len(labels), m):
                 part = clipping.clipped_grad_sum(
                     model, params, features[lo : lo + m], labels[lo : lo + m], cfg
                 )
-                total += part.sum.values
+                total += part.sum
                 counts += (part.contributing_count, part.dropped_nonfinite_count)
-            worst = max(worst, float(np.max(np.abs(total - full.sum.values), initial=0.0)))
+            worst = max(worst, float(np.max(np.abs(total - full.sum), initial=0.0)))
             counts_add_up &= tuple(counts) == (full.contributing_count,
                                                full.dropped_nonfinite_count)
     _report(1, worst <= 1e-12 and counts_add_up,
@@ -73,7 +73,7 @@ def test_criterion_02_gradient_correctness():
     for trial in range(100):
         model = random_model(rng)
         kinds_seen.add(model.kind)
-        params = models.init_params(model, prng.seed(1000 + trial))
+        params = models.init_params(model, prng.seed(1000 + trial)).values
         features, labels = random_batch(rng, model.input_dim, 1)
         analytic = models.batch_grads(model, params, features, labels)[0]
         fd = finite_difference_grad(model, params, features, labels, step=1e-5)
@@ -92,7 +92,7 @@ def test_criterion_03_sensitivity_oracle():
     for level in ("example", "group"):
         for trial in range(25):
             model = random_model(rng)
-            params = models.init_params(model, prng.seed(trial))
+            params = models.init_params(model, prng.seed(trial)).values
             size = int(rng.integers(1, 7))
             features, labels = random_batch(rng, model.input_dim, size)
             keys = None
@@ -110,7 +110,7 @@ def test_criterion_03_sensitivity_oracle():
                     model, params, features[keep], labels[keep], cfg,
                     group_keys=None if keys is None else keys[keep],
                 )
-                worst = max(worst, float(np.linalg.norm(full.sum.values - sub.sum.values)))
+                worst = max(worst, float(np.linalg.norm(full.sum - sub.sum)))
     _report(3, worst <= clip_norm + 1e-12,
             f"brute-force add/remove, both levels: max shift {worst:.12f} vs C={clip_norm}",
             time.perf_counter() - started, 10.0)
@@ -198,11 +198,11 @@ def test_criterion_06_correlated_noise_equivalence():
         p = pz.Privatizer(sigma, mf.Strategy(coefs))
         key = prng.seed(6000 + trial)
         state = pz.init(p, layout, key)
-        zero = clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0)
+        zero = clipping.ClippedGradientSum(np.zeros(layout.total_length), 1.0, 0, 0)
         outputs = []
         for _ in range(steps):
             out, state = pz.privatize(p, zero, state)
-            outputs.append(out.values)
+            outputs.append(out)
         # dense oracle: replay the fresh noise, solve C x = z
         fresh = []
         k = key
@@ -215,7 +215,7 @@ def test_criterion_06_correlated_noise_equivalence():
         worst = max(worst, float(np.max(np.abs(dense - np.array(outputs)))))
     # b=1 bitwise reduction to gaussian: the i.i.d. stream, replayed here
     layout = models.Layout((("x", 0, 5),))
-    zero = clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0)
+    zero = clipping.ClippedGradientSum(np.zeros(layout.total_length), 1.0, 0, 0)
     b = pz.Privatizer(1.1, mf.Strategy((1.0,)))
     sb = pz.init(b, layout, prng.seed(1))
     k = prng.seed(1)
@@ -223,7 +223,7 @@ def test_criterion_06_correlated_noise_equivalence():
     for _ in range(8):
         ob, sb = pz.privatize(b, zero, sb)
         sk, k = prng.split(k, 2)
-        bitwise = bitwise and np.array_equal(ob.values, prng.gaussian(sk, 5, 1.1))
+        bitwise = bitwise and np.array_equal(ob, prng.gaussian(sk, 5, 1.1))
     _report(6, worst <= 1e-10 and bitwise,
             f"20 strategies (n<=64, b<=8): max deviation from dense solve {worst:.2e}; "
             f"b=1 bit-identical to gaussian: {bitwise}",
@@ -305,10 +305,10 @@ def test_criterion_09_edge_case_dp_safety():
     p = pz.Privatizer(1.0)
     out, _ = pz.privatize(
         p,
-        clipping.ClippedGradientSum(models.GradientVector.zeros(layout), 1.0, 0, 0),
+        clipping.ClippedGradientSum(np.zeros(layout.total_length), 1.0, 0, 0),
         pz.init(p, layout, prng.seed(3)),
     )
-    noise_ok = float(np.linalg.norm(out.values)) > 0.0
+    noise_ok = float(np.linalg.norm(out)) > 0.0
 
     # NaN gradient: zeroed, counted, run completes
     nan_features = prng.gaussian(prng.seed(5), 60 * 4, 1.0).reshape(60, 4)

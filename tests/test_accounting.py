@@ -612,6 +612,18 @@ def test_nan_and_non_integer_inputs_raise(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: accounting.calibrate_noise(math.inf, 1e-5, 0.1, 600),
+    lambda: accounting.calibrate_mf_noise(math.inf, 1e-5),
+    lambda: accounting.calibrate_noise(-math.inf, 1e-5, 0.1, 600),
+], ids=["calibrate-inf-target", "calibrate-mf-inf-target", "calibrate-minus-inf-target"])
+def test_infinite_target_epsilon_raises(call):
+    # An infinite target would calibrate to either end of the bracket: the
+    # bottom (0.01) for dpsgd and, through a NaN delta, the top for banded-mf.
+    with pytest.raises(ValueError, match="positive and finite"):
+        call()
+
+
 def test_mf_epsilon_identity_matches_analytic():
     # The identity strategy is DP-SGD's i.i.d. noise: the privatizer's scale
     # sigma * clip * ||c|| is sigma * clip, bit for bit.

@@ -12,7 +12,7 @@ from conftest import materialized_clipped_sum, random_batch, random_model
 def _linear_at_zero():
     """A linear model at zero parameters, whose gradient for row (x, y) is -y·[x, 1]."""
     m = models.Model(kind="linear", input_dim=2)
-    return m, models.GradientVector.zeros(m.layout())
+    return m, np.zeros(m.param_count())
 
 
 def test_clip_scales_to_boundary():
@@ -24,8 +24,8 @@ def test_clip_scales_to_boundary():
         out = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=np.zeros(k, int))
         assert out.contributing_count == 1
         want = np.array([3.0, 4.0, 1.0]) * (2.5 / np.sqrt(26.0))
-        np.testing.assert_allclose(out.sum.values, want, rtol=1e-15)
-        assert clipping.l2_norm(out.sum.values) == pytest.approx(2.5, rel=1e-12)
+        np.testing.assert_allclose(out.sum, want, rtol=1e-15)
+        assert clipping.l2_norm(out.sum) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_clip_zero_vector():
@@ -34,7 +34,7 @@ def test_clip_zero_vector():
     for level in ("example", "group"):
         cfg = clipping.ClipConfig(clip_norm=1.0, level=level)
         out = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=np.full(3, 7))
-        assert np.array_equal(out.sum.values, np.zeros(3))
+        assert np.array_equal(out.sum, np.zeros(3))
         units = 3 if level == "example" else 1
         assert (out.contributing_count, out.dropped_nonfinite_count) == (units, 0)
 
@@ -43,21 +43,21 @@ def test_clip_inside_ball_is_exact_identity(rng):
     # One key for every row: the stable sort keeps the rows in batch order,
     # so the group's sum is grad_sum's reduction over the same factors.
     m = models.Model(kind="mlp", input_dim=6, hidden_dim=5)
-    p = models.init_params(m, prng.seed(3))
+    p = models.init_params(m, prng.seed(3)).values
     features, labels = random_batch(rng, 6, 17)
     cfg = clipping.ClipConfig(clip_norm=1e6, level="group")
     out = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=np.full(17, 2))
     assert out.contributing_count == 1
-    assert np.array_equal(out.sum.values, clipping.grad_sum(m, p, features, labels))
+    assert np.array_equal(out.sum, clipping.grad_sum(m, p, features, labels))
 
 
 def test_empty_batch():
     m = models.Model(kind="linear", input_dim=3)
-    p = models.init_params(m, prng.seed(0))
+    p = models.init_params(m, prng.seed(0)).values
     res = clipping.clipped_grad_sum(
         m, p, np.zeros((0, 3)), np.zeros(0), clipping.ClipConfig(clip_norm=2.0)
     )
-    assert np.array_equal(res.sum.values, np.zeros(4))
+    assert np.array_equal(res.sum, np.zeros(4))
     assert res.contributing_count == 0
     assert res.dropped_nonfinite_count == 0
     assert res.sensitivity == 2.0
@@ -65,11 +65,11 @@ def test_empty_batch():
 
 def test_nan_gradient_zeroed_and_counted():
     m = models.Model(kind="linear", input_dim=2)
-    p = models.init_params(m, prng.seed(0))
+    p = models.init_params(m, prng.seed(0)).values
     res = clipping.clipped_grad_sum(
         m, p, np.array([[np.nan, 1.0]]), np.array([0.0]), clipping.ClipConfig(clip_norm=1.0)
     )
-    assert np.array_equal(res.sum.values, np.zeros(3))
+    assert np.array_equal(res.sum, np.zeros(3))
     assert res.dropped_nonfinite_count == 1
     assert res.contributing_count == 0
     assert res.sensitivity == 1.0
@@ -77,13 +77,13 @@ def test_nan_gradient_zeroed_and_counted():
 
 def test_inf_feature_also_dropped():
     m = models.Model(kind="linear", input_dim=2)
-    p = models.init_params(m, prng.seed(0))
+    p = models.init_params(m, prng.seed(0)).values
     features = np.array([[1.0, 0.0], [np.inf, 1.0]])  # good, bad
     labels = np.array([1.0, 0.0])
     cfg = clipping.ClipConfig(clip_norm=1.0)
     with_bad = clipping.clipped_grad_sum(m, p, features, labels, cfg)
     without = clipping.clipped_grad_sum(m, p, features[:1], labels[:1], cfg)
-    assert np.array_equal(with_bad.sum.values, without.sum.values)
+    assert np.array_equal(with_bad.sum, without.sum)
     assert with_bad.dropped_nonfinite_count == 1
     assert with_bad.contributing_count == 1
 
@@ -92,21 +92,21 @@ def test_group_level_two_members_clipped_once():
     # Two identical examples in one group: each per-example gradient has norm
     # n0; the group sum (norm 2*n0) must be clipped once to C, not 2C.
     m = models.Model(kind="linear", input_dim=2)
-    p = models.GradientVector.zeros(m.layout())
+    p = np.zeros(m.param_count())
     features = np.array([[3.0, 4.0], [3.0, 4.0]])  # grad = (z-y)*[x,1] = [3,4,1]
     labels = np.array([-1.0, -1.0])
     n0 = np.sqrt(26.0)
     cfg = clipping.ClipConfig(clip_norm=float(n0), level="group")
     res = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=np.array([7, 7]))
     assert res.contributing_count == 1
-    assert clipping.l2_norm(res.sum.values) == pytest.approx(n0, rel=1e-12)
+    assert clipping.l2_norm(res.sum) == pytest.approx(n0, rel=1e-12)
     expected = np.array([3.0, 4.0, 1.0])  # 2*grad scaled back to norm n0
-    np.testing.assert_allclose(res.sum.values, expected, rtol=1e-12)
+    np.testing.assert_allclose(res.sum, expected, rtol=1e-12)
 
 
 def test_group_level_distinct_groups_clip_separately(rng):
     m = models.Model(kind="logistic", input_dim=3)
-    p = models.init_params(m, prng.seed(5))
+    p = models.init_params(m, prng.seed(5)).values
     features = np.stack([rng.standard_normal(3) for _ in range(9)])
     labels = np.ones(9)
     keys = np.arange(9) % 3
@@ -120,14 +120,14 @@ def test_group_level_distinct_groups_clip_separately(rng):
             m, p, features[member], labels[member], cfg, group_keys=keys[member]
         )
         assert unit.contributing_count == 1
-        assert clipping.l2_norm(unit.sum.values) <= 0.1 * (1 + 1e-12)
-        units.append(unit.sum.values)
-    np.testing.assert_allclose(np.sum(units, axis=0), res.sum.values, atol=1e-12)
+        assert clipping.l2_norm(unit.sum) <= 0.1 * (1 + 1e-12)
+        units.append(unit.sum)
+    np.testing.assert_allclose(np.sum(units, axis=0), res.sum, atol=1e-12)
 
 
 def test_group_level_missing_key_rejected(rng):
     m = models.Model(kind="linear", input_dim=2)
-    p = models.init_params(m, prng.seed(0))
+    p = models.init_params(m, prng.seed(0)).values
     with pytest.raises(ValueError):
         clipping.clipped_grad_sum(
             m, p, np.ones((1, 2)), np.zeros(1),
@@ -139,7 +139,7 @@ def test_group_level_microbatch_invariance(rng):
     # Whole groups clip independently, so calls over consecutive slices of
     # 1 or 2 groups add up to the full-batch call.
     m = models.Model(kind="linear", input_dim=4)
-    p = models.init_params(m, prng.seed(2))
+    p = models.init_params(m, prng.seed(2)).values
     keys = rng.integers(0, 4, size=13)
     rows = [(rng.standard_normal(4), float(rng.standard_normal())) for _ in keys]
     features = np.stack([x for x, _ in rows])
@@ -148,16 +148,16 @@ def test_group_level_microbatch_invariance(rng):
     full = clipping.clipped_grad_sum(m, p, features, labels, cfg, group_keys=keys)
     groups = np.unique(keys)
     for per_call in (1, 2):
-        total = np.zeros_like(full.sum.values)
+        total = np.zeros_like(full.sum)
         counts = np.zeros(2, dtype=int)
         for lo in range(0, len(groups), per_call):
             member = np.isin(keys, groups[lo : lo + per_call])
             part = clipping.clipped_grad_sum(
                 m, p, features[member], labels[member], cfg, group_keys=keys[member]
             )
-            total += part.sum.values
+            total += part.sum
             counts += (part.contributing_count, part.dropped_nonfinite_count)
-        assert np.max(np.abs(total - full.sum.values)) <= 1e-12
+        assert np.max(np.abs(total - full.sum)) <= 1e-12
         assert tuple(counts) == (full.contributing_count, full.dropped_nonfinite_count)
 
 
@@ -166,7 +166,7 @@ def test_per_unit_norm_bound(rng):
     # up to the batch sum.
     for _ in range(3):
         m = random_model(rng)
-        p = models.init_params(m, prng.seed(9))
+        p = models.init_params(m, prng.seed(9)).values
         features, labels = random_batch(rng, m.input_dim, 12)
         cfg = clipping.ClipConfig(clip_norm=0.25)
         res = clipping.clipped_grad_sum(m, p, features, labels, cfg)
@@ -175,9 +175,9 @@ def test_per_unit_norm_bound(rng):
         for i in range(12):
             unit = clipping.clipped_grad_sum(m, p, features[i : i + 1], labels[i : i + 1], cfg)
             assert unit.contributing_count == 1
-            assert np.linalg.norm(unit.sum.values) <= 0.25 * (1 + 1e-12)
-            units.append(unit.sum.values)
-        np.testing.assert_allclose(np.sum(units, axis=0), res.sum.values, atol=1e-12)
+            assert np.linalg.norm(unit.sum) <= 0.25 * (1 + 1e-12)
+            units.append(unit.sum)
+        np.testing.assert_allclose(np.sum(units, axis=0), res.sum, atol=1e-12)
 
 
 def test_sensitivity_oracle_add_remove(rng):
@@ -185,7 +185,7 @@ def test_sensitivity_oracle_add_remove(rng):
     for level in ("example", "group"):
         for trial in range(20):
             m = random_model(rng)
-            p = models.init_params(m, prng.seed(trial))
+            p = models.init_params(m, prng.seed(trial)).values
             size = int(rng.integers(1, 7))
             features, labels = random_batch(rng, m.input_dim, size)
             keys = None
@@ -202,7 +202,7 @@ def test_sensitivity_oracle_add_remove(rng):
                     m, p, features[keep], labels[keep], cfg,
                     group_keys=None if keys is None else keys[keep],
                 )
-                delta = np.linalg.norm(full.sum.values - sub.sum.values)
+                delta = np.linalg.norm(full.sum - sub.sum)
                 assert delta <= cfg.clip_norm + 1e-12
 
 
@@ -210,7 +210,7 @@ def test_clipping_never_materializes_gradient_rows(rng, monkeypatch):
     # Both levels clip from the layer factors and never materialize
     # per-example gradients.
     m = models.Model(kind="logistic", input_dim=5)
-    p = models.init_params(m, prng.seed(0))
+    p = models.init_params(m, prng.seed(0)).values
     features, labels = random_batch(rng, 5, 23)
     keys = np.arange(23) % 4
     live = []
@@ -232,7 +232,7 @@ def test_group_level_peak_memory_is_a_few_factors():
     # MLP 20→128, B=2000 in 200 groups: materialized rows would take
     # B·P·8 bytes = 43 MiB, the layer factors 4.2 MiB.
     m = models.Model(kind="mlp", input_dim=20, hidden_dim=128)
-    p = models.init_params(m, prng.seed(0))
+    p = models.init_params(m, prng.seed(0)).values
     rng = np.random.default_rng(4)
     features = rng.standard_normal((2000, 20))
     labels = rng.integers(0, 2, 2000).astype(np.float64)
@@ -273,7 +273,7 @@ def test_factored_clipping_matches_materialized_oracle(model):
     outcomes = {"example": set(), "group": set()}
     for trial in range(40):
         size = trial % 9
-        p = models.init_params(model, prng.seed(trial))
+        p = models.init_params(model, prng.seed(trial)).values
         features, labels = random_batch(rng, model.input_dim, size, model.loss == "log")
         for i in range(size):
             if rng.random() < 0.5:
@@ -286,9 +286,9 @@ def test_factored_clipping_matches_materialized_oracle(model):
             want = materialized_clipped_sum(model, p, features, labels, clip_norm, keys)
             assert got.contributing_count == want.contributing_count
             assert got.dropped_nonfinite_count == want.dropped_nonfinite_count
-            assert np.all(np.isfinite(got.sum.values))
-            scale = max(np.max(np.abs(want.sum.values), initial=0.0), clip_norm)
-            assert np.max(np.abs(got.sum.values - want.sum.values), initial=0.0) <= 1e-12 * scale
+            assert np.all(np.isfinite(got.sum))
+            scale = max(np.max(np.abs(want.sum), initial=0.0), clip_norm)
+            assert np.max(np.abs(got.sum - want.sum), initial=0.0) <= 1e-12 * scale
             outcomes[level].add((got.dropped_nonfinite_count > 0, got.contributing_count > 0))
     for seen in outcomes.values():
         assert seen >= {(True, True), (False, True)}
@@ -307,12 +307,12 @@ def test_l2_norm_of_finite_vector_with_overflowing_squares():
         cfg = clipping.ClipConfig(clip_norm=1.0, level=level)
         clipped = clipping.clipped_grad_sum(m, p, values[np.newaxis], np.array([-1.0]), cfg,
                                             group_keys=np.zeros(1, int))
-        np.testing.assert_allclose(clipped.sum.values[:2], [0.6, -0.8], rtol=1e-15)
+        np.testing.assert_allclose(clipped.sum[:2], [0.6, -0.8], rtol=1e-15)
 
 
 def test_grad_sum_is_the_unclipped_row_sum(rng):
     for model in _FUZZ_MODELS:
-        p = models.init_params(model, prng.seed(1))
+        p = models.init_params(model, prng.seed(1)).values
         features, labels = random_batch(rng, model.input_dim, 7, model.loss == "log")
         rows = models.batch_grads(model, p, features, labels)
         np.testing.assert_allclose(
@@ -417,24 +417,24 @@ def _scaled_l2(values):
 def test_fallback_rows_clip_into_the_ball(x, y, clip_norm, dropped):
     # At zero parameters the linear model's gradient is -y·[x, 1].
     m = models.Model(kind="linear", input_dim=2)
-    p = models.GradientVector.zeros(m.layout())
+    p = np.zeros(m.param_count())
     features = np.array([[0.3, -0.4], x, [2.0, 1.0]])
     labels = np.array([1.0, y, -1.0])
     cfg = clipping.ClipConfig(clip_norm=clip_norm)
     res = clipping.clipped_grad_sum(m, p, features[1:2], labels[1:2], cfg)
     assert (res.contributing_count, res.dropped_nonfinite_count) == (1 - dropped, dropped)
-    assert _scaled_l2(res.sum.values) <= clip_norm * (1 + 1e-15)
+    assert _scaled_l2(res.sum) <= clip_norm * (1 + 1e-15)
     batch = clipping.clipped_grad_sum(m, p, features, labels, cfg)
     oracle = materialized_clipped_sum(m, p, features, labels, clip_norm, np.arange(3))
     assert batch.dropped_nonfinite_count == oracle.dropped_nonfinite_count == dropped
-    np.testing.assert_allclose(batch.sum.values, oracle.sum.values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(batch.sum, oracle.sum, rtol=1e-12, atol=0)
 
 
 def test_well_scaled_batches_never_take_the_scaled_reference(rescaled):
     # Wall-clock free: the reference norm runs only on the rows that need it.
     rng = np.random.default_rng(2)
     for model in (*_FUZZ_MODELS, models.Model(kind="mlp", input_dim=20, hidden_dim=128)):
-        p = models.init_params(model, prng.seed(3))
+        p = models.init_params(model, prng.seed(3)).values
         features, labels = random_batch(rng, model.input_dim, 200, model.loss == "log")
         cfg = clipping.ClipConfig(clip_norm=0.5)
         clipping.clipped_grad_sum(model, p, features, labels, cfg)
@@ -452,12 +452,12 @@ def test_zero_gradients_inside_the_ball_skip_the_reference(rescaled):
     # whose direct norm, 0, is exact. The reference runs on such rows only
     # when C² underflows, so that the floor cannot show them inside the ball.
     m = models.Model(kind="logistic", input_dim=3)
-    p = models.GradientVector(np.array([0.0, 0.0, 0.0, 50.0]), m.layout())  # sigmoid(50) == 1.0
+    p = np.array([0.0, 0.0, 0.0, 50.0])  # sigmoid(50) == 1.0
     features, labels = np.ones((4, 3)), np.ones(4)
     for clip_norm, calls in ((1.0, []), (1e-170, [4])):
         res = clipping.clipped_grad_sum(m, p, features, labels, clipping.ClipConfig(clip_norm))
         assert rescaled == calls
-        assert res.contributing_count == 4 and not res.sum.values.any()
+        assert res.contributing_count == 4 and not res.sum.any()
         rescaled.clear()
 
 

@@ -44,7 +44,7 @@ def test_zero_width_layer_rejected():
 
 def test_logistic_loss_at_origin_is_log2():
     m = models.Model(kind="logistic", input_dim=2)
-    p = models.GradientVector.zeros(m.layout())
+    p = np.zeros(m.param_count())
     for y in (0.0, 1.0):
         loss = models.batch_losses(m, p, np.array([[3.0, -1.0]]), np.array([y]))[0]
         assert loss == pytest.approx(math.log(2), rel=1e-12)
@@ -52,14 +52,14 @@ def test_logistic_loss_at_origin_is_log2():
 
 def test_linear_loss_at_origin():
     m = models.Model(kind="linear", input_dim=2)
-    p = models.GradientVector.zeros(m.layout())
+    p = np.zeros(m.param_count())
     loss = models.batch_losses(m, p, np.array([[1.0, 1.0]]), np.array([2.0]))[0]
     assert loss == pytest.approx(2.0, rel=1e-12)
 
 
 def test_mlp_loss_nonnegative_finite(rng):
     m = models.Model(kind="mlp", input_dim=5, hidden_dim=4, activation="tanh")
-    p = models.init_params(m, prng.seed(3))
+    p = models.init_params(m, prng.seed(3)).values
     for _ in range(20):
         loss = models.batch_losses(m, p, *random_example(rng, 5, True))[0]
         assert loss >= 0.0 and math.isfinite(loss)
@@ -67,11 +67,11 @@ def test_mlp_loss_nonnegative_finite(rng):
 
 def test_logistic_grad_closed_form_at_origin():
     m = models.Model(kind="logistic", input_dim=3)
-    p = models.GradientVector.zeros(m.layout())
+    p = np.zeros(m.param_count())
     x = np.array([0.5, -2.0, 1.5])
     for y in (0.0, 1.0):
         g = models.GradientVector(
-            models.batch_grads(m, p, x[np.newaxis, :], np.array([y]))[0], p.layout
+            models.batch_grads(m, p, x[np.newaxis, :], np.array([y]))[0], m.layout()
         )
         np.testing.assert_allclose(g.segment("w"), (0.5 - y) * x, rtol=1e-12)
         np.testing.assert_allclose(g.segment("b"), [0.5 - y], rtol=1e-12)
@@ -81,7 +81,7 @@ def test_gradients_match_finite_differences(rng):
     # 100 random (model, params, example) triples across all three kinds.
     for _ in range(100):
         m = random_model(rng)
-        p = models.init_params(m, prng.seed(int(rng.integers(0, 2**31))))
+        p = models.init_params(m, prng.seed(int(rng.integers(0, 2**31)))).values
         x, y = random_example(rng, m.input_dim, classification=True)
         g = models.batch_grads(m, p, x, y)[0]
         fd = finite_difference_grad(m, p, x, y)
@@ -93,13 +93,13 @@ def test_grad_layout_matches_params(rng):
     for _ in range(10):
         m = random_model(rng)
         p = models.init_params(m, prng.seed(7))
-        grads = models.batch_grads(m, p, *random_example(rng, m.input_dim, True))
+        grads = models.batch_grads(m, p.values, *random_example(rng, m.input_dim, True))
         assert grads.shape == (1, p.layout.total_length)
 
 
 def test_dimension_mismatch_rejected():
     m = models.Model(kind="linear", input_dim=3)
-    p = models.init_params(m, prng.seed(0))
+    p = models.init_params(m, prng.seed(0)).values
     with pytest.raises(ValueError):
         models.batch_losses(m, p, np.zeros((1, 4)), np.zeros(1))
     with pytest.raises(ValueError):
@@ -108,7 +108,7 @@ def test_dimension_mismatch_rejected():
 
 def test_batch_grads_match_single(rng):
     m = models.Model(kind="mlp", input_dim=4, hidden_dim=3, loss="mse")
-    p = models.init_params(m, prng.seed(11))
+    p = models.init_params(m, prng.seed(11)).values
     features, labels = random_batch(rng, 4, 6, classification=False)
     rows = models.batch_grads(m, p, features, labels)
     for i, row in enumerate(rows):
@@ -141,7 +141,7 @@ def test_rows_are_bit_identical_however_the_batch_is_laid_out(model):
     rng = np.random.default_rng(0)
     n = 40
     features, labels = random_batch(rng, model.input_dim, n, model.loss == "log")
-    params = models.init_params(model, prng.seed(4))
+    params = models.init_params(model, prng.seed(4)).values
     whole = _per_example_outputs(model, params, features, labels)
     idx = rng.permutation(n)[:17]
     padded = np.zeros((n, 2 * model.input_dim))
@@ -165,7 +165,7 @@ def test_batch_losses_do_not_depend_on_the_block_boundaries(model, monkeypatch):
     rng = np.random.default_rng(1)
     n = 50
     features, labels = random_batch(rng, model.input_dim, n, model.loss == "log")
-    params = models.init_params(model, prng.seed(4))
+    params = models.init_params(model, prng.seed(4)).values
     single = [models.batch_losses(model, params, features[i : i + 1], labels[i : i + 1])[0]
               for i in range(n)]
     width = max(1, model.hidden_dim)
@@ -179,7 +179,7 @@ def test_batch_losses_keep_their_temporaries_under_the_mmap_threshold(monkeypatc
     # A whole-dataset pass used to allocate B×h temporaries, each faulting in
     # fresh pages; every block's widest temporary must stay under 128 KiB.
     model = models.Model(kind="mlp", input_dim=20, hidden_dim=128)
-    params = models.init_params(model, prng.seed(4))
+    params = models.init_params(model, prng.seed(4)).values
     features, labels = random_batch(np.random.default_rng(2), 20, 2000, True)
     blocks = []
     impl = models._batch_losses_impl
@@ -208,13 +208,27 @@ def test_dataset_refuses_group_keys_other_than_one_integer_per_row(keys):
     assert ok.group_keys.dtype.kind == "i"
 
 
-def test_gradient_vector_arithmetic_layout_checked():
-    a = models.GradientVector(np.ones(3), models.Layout((("x", 0, 3),)))
-    b = models.GradientVector(np.ones(3), models.Layout((("y", 0, 3),)))
-    with pytest.raises(ValueError):
-        _ = a + b
-    c = a + models.GradientVector(2 * np.ones(3), a.layout)
-    assert np.array_equal(c.values, 3 * np.ones(3))
+def test_gradient_vector_build_checks_layout():
+    # The step adds bare arrays; the layout is checked where parameters are
+    # built. Values that do not fit the layout are refused, and layouts that
+    # differ only in their names are different layouts.
+    x = models.Layout((("x", 0, 3),))
+    with pytest.raises(ValueError, match="does not match layout"):
+        models.GradientVector(np.ones(4), x)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        models.GradientVector(np.ones((3, 1)), x)
+    assert x != models.Layout((("y", 0, 3),))
+    v = models.GradientVector(np.arange(3.0), x)
+    assert np.array_equal(v.segment("x"), [0.0, 1.0, 2.0])
+
+
+def test_parameter_arrays_start_on_a_64_byte_boundary():
+    for length in (1, 7, 21, 2817):
+        assert models.aligned_empty(length).shape == (length,)
+        assert models.aligned_empty(length).ctypes.data % 64 == 0
+    m = models.Model(kind="mlp", input_dim=20, hidden_dim=128)
+    p = models.init_params(m, prng.seed(0))
+    assert p.values.ctypes.data % 64 == 0 and p.segment("b1").tolist() == [0.0] * 128
 
 
 def test_layout_total_length_cached_outside_equality():

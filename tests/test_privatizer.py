@@ -15,15 +15,13 @@ def _layout(dim):
 
 def _zero_sum(layout, sensitivity=1.0):
     return clipping.ClippedGradientSum(
-        models.GradientVector.zeros(layout), sensitivity, 0, 0
+        np.zeros(layout.total_length), sensitivity, 0, 0
     )
 
 
 def _sum_of(values, sensitivity=1.0):
     arr = np.asarray(values, dtype=np.float64)
-    return clipping.ClippedGradientSum(
-        models.GradientVector(arr, _layout(arr.size)), sensitivity, 1, 0
-    )
+    return clipping.ClippedGradientSum(arr, sensitivity, 1, 0)
 
 
 def _replay_fresh_noise(key, steps, dim, stddev):
@@ -66,7 +64,7 @@ def test_zero_stddev_passthrough(mechanism, coefs):
     st = pz.init(p, _layout(3), prng.seed(1))
     csum = _sum_of([1.0, -2.0, 3.0])
     out, st2 = pz.privatize(p, csum, st)
-    assert np.array_equal(out.values, csum.sum.values)
+    assert np.array_equal(out, csum.sum)
     assert st2.step == 1
 
 
@@ -77,7 +75,7 @@ def test_banded_b1_bit_identical_to_gaussian():
     outputs = []
     for _ in range(6):
         out, st = pz.privatize(p, _zero_sum(_layout(5)), st)
-        outputs.append(out.values)
+        outputs.append(out)
     assert np.array_equal(np.array(outputs), _replay_fresh_noise(prng.seed(7), 6, 5, 1.3))
 
 
@@ -90,7 +88,7 @@ def test_banded_matches_dense_solve():
     outputs = []
     for _ in range(steps):
         out, st = pz.privatize(p, _zero_sum(_layout(dim)), st)
-        outputs.append(out.values)
+        outputs.append(out)
     z = _replay_fresh_noise(prng.seed(5), steps, dim, stddev)
     dense = scipy.linalg.solve_triangular(banded_toeplitz(coefs, steps), z, lower=True)
     np.testing.assert_allclose(np.array(outputs), dense, atol=1e-10)
@@ -115,7 +113,7 @@ def test_streaming_dense_equivalence_random_strategies(rng):
         outputs = []
         for _ in range(steps):
             out, st = pz.privatize(p, _zero_sum(_layout(dim)), st)
-            outputs.append(out.values)
+            outputs.append(out)
         z = _replay_fresh_noise(key, steps, dim, stddev)
         dense = scipy.linalg.solve_triangular(
             banded_toeplitz(coefs, steps), z, lower=True
@@ -127,7 +125,7 @@ def test_empty_batch_emits_pure_noise():
     p = pz.Privatizer(0.5)
     st = pz.init(p, _layout(4), prng.seed(2))
     out, st2 = pz.privatize(p, _zero_sum(_layout(4)), st)
-    assert np.linalg.norm(out.values) > 0.0
+    assert np.linalg.norm(out) > 0.0
     assert st2.step == 1
 
 
@@ -142,7 +140,7 @@ def test_noise_scales_with_attached_sensitivity(coefs):
     outputs = []
     for clip_norm in clip_norms:
         out, st = pz.privatize(p, _zero_sum(_layout(dim), sensitivity=clip_norm), st)
-        outputs.append(out.values)
+        outputs.append(out)
     strategy_norm = np.sqrt(np.sum(np.square(coefs)))
     key, fresh = prng.seed(12), []
     for clip_norm in clip_norms:
@@ -174,13 +172,22 @@ def test_layout_mismatch_rejected():
 
 
 def test_privatize_is_pure():
-    p = pz.Privatizer(1.0, mf.Strategy((1.0, 0.3)))
-    st = pz.init(p, _layout(3), prng.seed(9))
-    csum = _sum_of([0.5, 0.5, 0.5])
-    out1, next1 = pz.privatize(p, csum, st)
-    out2, next2 = pz.privatize(p, csum, st)
-    assert np.array_equal(out1.values, out2.values)
-    assert next1.step == next2.step and next1.key == next2.key
+    # Later steps subtract the kept bands from the fresh noise in place, and
+    # one band adds the sum into it: neither may touch the input or the state.
+    for coefs in ((1.0,), (1.0, 0.3), (1.0, 0.3, -0.2)):
+        p = pz.Privatizer(1.0, mf.Strategy(coefs))
+        st = pz.init(p, _layout(3), prng.seed(9))
+        csum = _sum_of([0.5, 0.5, 0.5])
+        for step in range(4):
+            kept = [band.copy() for band in st.buffer]
+            out1, next1 = pz.privatize(p, csum, st)
+            out2, next2 = pz.privatize(p, csum, st)
+            assert np.array_equal(out1, out2) and out1 is not out2
+            assert np.array_equal(csum.sum, [0.5, 0.5, 0.5]) and st.step == step
+            assert len(st.buffer) == len(kept) == min(step, len(coefs) - 1)
+            assert all(np.array_equal(band, copy) for band, copy in zip(st.buffer, kept))
+            assert next1.step == next2.step and next1.key == next2.key
+            st = next1
 
 
 def test_gaussian_noise_distribution_ks():
@@ -194,7 +201,7 @@ def test_gaussian_noise_distribution_ks():
     samples = np.empty(10**5)
     for i in range(samples.size):
         out, st = pz.privatize(p, zero, st)
-        samples[i] = out.values[0]
+        samples[i] = out[0]
     result = scipy.stats.kstest(samples, "norm", args=(0.0, stddev))
     assert result.pvalue > 1e-3
 

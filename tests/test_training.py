@@ -37,6 +37,16 @@ def test_exactly_one_privacy_knob_required():
         training.config_from_dict(_cfg_dict(privacy={"delta": 1e-5}))
 
 
+@pytest.mark.parametrize("mechanism,strategy", [
+    ("dpsgd", "poisson"), ("banded-mf", "cyclic-poisson"),
+])
+def test_infinite_target_epsilon_refused(mechanism, strategy):
+    raw = _cfg_dict(mechanism=mechanism, privacy={"target_epsilon": math.inf, "delta": 1e-5},
+                    batch={"strategy": strategy, "sampling_prob": 0.1}, steps=5)
+    with pytest.raises(training.ConfigError, match=r"target_epsilon must be in \(0, inf\)"):
+        training.config_from_dict(raw)
+
+
 def test_mechanism_none_forbids_privacy_fields():
     raw = _cfg_dict(mechanism="none")
     with pytest.raises(training.ConfigError):
@@ -287,6 +297,56 @@ def test_only_group_level_runs_read_the_group_keys(monkeypatch):
         dataset=dataset, clip={"clip_norm": 1.0, "level": "group"}, steps=5,
     )))
     assert len(seen) == 5 and all(keys is not None for keys in seen)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+def test_gradient_vectors_are_built_once_per_run_not_per_step(optimizer, monkeypatch):
+    # The step passes bare arrays: a run builds its initial and its final
+    # parameters as GradientVectors, whatever its number of steps.
+    built = []
+    check = training.GradientVector.__post_init__
+
+    def counting(self):
+        built.append(self.values.size)
+        check(self)
+
+    monkeypatch.setattr(training.GradientVector, "__post_init__", counting)
+    counts = []
+    for steps in (20, 40):
+        built.clear()
+        training.train(training.config_from_dict(_cfg_dict(
+            optimizer={"kind": optimizer, "learning_rate": 0.1}, steps=steps)))
+        counts.append(len(built))
+    assert counts[0] == counts[1] == 2
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+@pytest.mark.parametrize("mechanism", ["none", "dpsgd", "banded-mf"])
+def test_parameters_stay_aligned_through_the_steps(mechanism, optimizer, monkeypatch):
+    # Every parameter array a step or an evaluation reads starts on a 64-byte
+    # boundary, so the MLP's per-row products see an aligned w1.
+    addresses = []
+    evaluate = training.dataset_mean_loss
+
+    def recording(model, params, dataset):
+        addresses.append(params.ctypes.data)
+        return evaluate(model, params, dataset)
+
+    monkeypatch.setattr(training, "dataset_mean_loss", recording)
+    private = mechanism != "none"
+    raw = _cfg_dict(
+        model={"kind": "mlp", "input_dim": 6, "hidden_dim": 16},
+        mechanism=mechanism,
+        privacy={"noise_multiplier": 1.0, "delta": 1e-5} if private else None,
+        clip={"clip_norm": 1.0} if private else None,
+        batch={"strategy": "cyclic-poisson" if mechanism == "banded-mf" else "poisson",
+               "sampling_prob": 0.1},
+        optimizer={"kind": optimizer, "learning_rate": 0.01},
+        steps=6, eval_every=1,
+    )
+    training.train(training.config_from_dict(raw))
+    assert len(addresses) == 7
+    assert all(address % 64 == 0 for address in addresses)
 
 
 def test_csv_round_trip(tmp_path):
@@ -655,6 +715,8 @@ _EARLY_ERRORS = {
     "model-without-input-dim": ("train", {"model": {"kind": "logistic"}}),
     "learning-rate-string": ("train", {"optimizer": {"kind": "sgd", "learning_rate": "a"}}),
     "seed-string": ("train", {"seed": "a"}),
+    "target-epsilon-infinite": ("train", {"privacy": {"target_epsilon": math.inf,
+                                                      "delta": 1e-5}}),
     "steps-bool": ("train", {"steps": True}),
     "missing-config": ("missing-config", {}),
     "missing-sigma-from": ("missing-sigma-from", {}),
